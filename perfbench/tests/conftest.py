@@ -1,0 +1,6 @@
+"""Put the benchmark's own modules on the import path for its tests."""
+
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
