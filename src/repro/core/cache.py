@@ -37,7 +37,7 @@ from typing import Any, Dict, Optional
 import networkx as nx
 
 from repro.core import trace
-from repro.hardware.embedding import graph_fingerprint
+from repro.hardware.embedding import EMBEDDER_VERSION, graph_fingerprint
 
 logger = logging.getLogger(__name__)
 
@@ -376,4 +376,5 @@ class EmbeddingCache(ArtifactCache):
             f"seed:{seed!r}",
             f"tries:{tries}",
             f"max_attempts:{max_attempts}",
+            f"embedder:{EMBEDDER_VERSION}",
         )
