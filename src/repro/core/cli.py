@@ -358,8 +358,15 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.source == "-":
         source = sys.stdin.read()
     else:
-        with open(args.source, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        try:
+            with open(args.source, "r", encoding="utf-8") as handle:
+                source = handle.read()
+        except OSError as exc:
+            print(
+                f"error: cannot read {args.source!r}: {exc.strerror}",
+                file=sys.stderr,
+            )
+            return 2
 
     machine = None
     spec = None
@@ -486,13 +493,23 @@ def _run_command(args: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    requested = result.info.get("reads_requested")
+    returned = result.info.get("reads_returned")
+    if requested is not None and returned != requested:
+        print(
+            f"warning: solver {result.info.get('answered_by', args.solver)!r} "
+            f"returned {returned} of the {requested} reads requested",
+            file=sys.stderr,
+        )
     solutions = result.solutions if args.all_solutions else result.valid_solutions
     if not solutions:
         print("no valid solutions found; try more reads", file=sys.stderr)
         return 2
-    from repro.core.report import format_run_result
+    from repro.core.report import format_read_counts, format_run_result
 
     print(format_run_result(result, valid_only=not args.all_solutions))
+    if args.stats and requested is not None:
+        print(format_read_counts(result))
     if args.time_passes:
         from repro.core.report import format_pass_table
 

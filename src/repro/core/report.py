@@ -99,6 +99,17 @@ def format_pass_table(stats: PipelineStats, title: Optional[str] = None) -> str:
     return stats.format_table(title=title)
 
 
+def format_read_counts(result: RunResult) -> str:
+    """The ``--stats`` lines for a run: reads asked for and returned."""
+    return "\n".join(
+        [
+            "sampling:",
+            f"    reads requested   : {result.info['reads_requested']}",
+            f"    reads returned    : {result.info['reads_returned']}",
+        ]
+    )
+
+
 def format_compile_summary(program: CompiledProgram) -> str:
     """The per-compilation statistics block (Section 6.1's metrics)."""
     stats = program.statistics()

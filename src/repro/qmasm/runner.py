@@ -562,6 +562,11 @@ class SampleStage(Stage):
                 deadline=context.deadline,
             )
             context.scratch["answered_by"] = solver
+        if len(model):
+            # sqa, qbsolv and shard cap their reads (32, 10 and 5): the
+            # caller sees the effective count, not just the request.
+            artifact.info["reads_requested"] = num_reads
+            artifact.info["reads_returned"] = artifact.sampleset.total_reads()
         self._lift_shard_stats(artifact, context)
         return artifact
 

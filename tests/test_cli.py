@@ -86,6 +86,14 @@ def test_bad_source_reports_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_missing_source_exits_2_with_one_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing.v")
+    assert main([missing]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {missing!r}: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 
@@ -216,6 +224,28 @@ def test_shard_solver_end_to_end(verilog_file, capsys):
     out = capsys.readouterr().out
     assert "Solution #1" in out
     assert "certificate:" in out
+
+
+def test_capped_reads_are_reported(verilog_file, capsys):
+    """shard caps a run at 5 reads: --stats and a warning say so."""
+    code = main(
+        [
+            verilog_file, "--run", "--solver", "shard", "--machines", "4",
+            "--topology-size", "2", "--seed", "0", "--num-reads", "100",
+            "--stats",
+            "--pin", "s := 1", "--pin", "a := 1", "--pin", "b := 1",
+        ]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert "reads requested   : 100" in captured.out
+    assert "reads returned    : 5" in captured.out
+    warnings = [
+        line for line in captured.err.splitlines() if line.startswith("warning:")
+    ]
+    assert warnings == [
+        "warning: solver 'shard' returned 5 of the 100 reads requested"
+    ]
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,10 @@ Table 5 cell library, then checked two ways against each other:
 
 Equation (2) of the paper demands the ground states of the assembled
 Hamiltonian be *exactly* the circuit's satisfying assignments, so the
-two projections must agree as sets.  Uses hypothesis when available
+two projections must agree as sets.  The same ground states then check
+the minor embedding through :func:`embed_ising`: two properties that
+hold for any valid embedding, whatever embedder found it.  Uses
+hypothesis when available
 (it is property-based fuzzing proper); a seeded-random fallback keeps
 the harness running on minimal installs.
 """
@@ -21,6 +24,8 @@ import random
 import pytest
 
 from repro.edif2qmasm.translate import netlist_to_qmasm
+from repro.hardware.chimera import chimera_graph
+from repro.hardware.embedding import embed_ising, find_embedding, source_graph_of
 from repro.ising.cells import CELL_LIBRARY
 from repro.ising.model import spin_to_bool
 from repro.qmasm.assembler import assemble
@@ -45,6 +50,9 @@ COMBINATIONAL_CELLS = sorted(
 #: Exhaustive enumeration bound; every generated circuit fits well
 #: under it (<= 4 inputs + 3 gates x (1 output + <= 2 ancillas)).
 MAX_SPINS = 18
+
+#: Embedding target: every generated circuit embeds on it in milliseconds.
+TARGET = chimera_graph(4)
 
 
 def build_random_netlist(choose):
@@ -111,6 +119,47 @@ def assert_hamiltonian_matches_truth_table(netlist, input_names):
             tuple(bool(inputs[n]) for n in input_names) + (bool(output),)
         )
     assert observed == expected, netlist_to_qmasm(netlist)
+    assert_embedding_preserves_ground_states(model, ground)
+
+
+def assert_embedding_preserves_ground_states(model, ground):
+    """Two properties of any valid minor embedding, via ``embed_ising``.
+
+    With a chain strength above every variable's summed |h| + sum |J|:
+    expanding a logical ground state along its chains gives the logical
+    energy plus the chain constant (-strength per intra-chain coupler),
+    and flipping any one qubit of a multi-qubit chain raises the energy
+    (the coupler it breaks costs 2 x strength, more than the flip can
+    gain from the variable's own terms).
+    """
+    weight = {v: abs(model.get_linear(v)) for v in model.variables}
+    for (u, v), coupling in model.quadratic.items():
+        weight[u] += abs(coupling)
+        weight[v] += abs(coupling)
+    strength = 1.0 + max(weight.values())
+    embedding = find_embedding(source_graph_of(model), TARGET, seed=0)
+    physical = embed_ising(model, embedding, TARGET, chain_strength=strength)
+    chain_constant = -strength * sum(
+        TARGET.subgraph(chain).number_of_edges()
+        for chain in embedding.chains.values()
+    )
+    for sample in ground:
+        spins = {
+            q: sample.assignment[v]
+            for v, chain in embedding.chains.items()
+            for q in chain
+        }
+        energy = physical.energy(spins)
+        assert energy == pytest.approx(
+            model.energy(sample.assignment) + chain_constant
+        )
+        for chain in embedding.chains.values():
+            if len(chain) < 2:
+                continue
+            for q in chain:
+                flipped = dict(spins)
+                flipped[q] = -spins[q]
+                assert physical.energy(flipped) > energy
 
 
 # ----------------------------------------------------------------------

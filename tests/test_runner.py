@@ -53,6 +53,14 @@ def test_shard_solver(runner):
     assert result.sampleset.info["machines"] == runner.machines
 
 
+@pytest.mark.parametrize("solver, returned", [("sa", 40), ("sqa", 32)])
+def test_info_reports_requested_and_returned_reads(runner, solver, returned):
+    """sqa caps a run at 32 reads; info says so instead of hiding it."""
+    result = runner.run(AND_PROGRAM, solver=solver, num_reads=40)
+    assert result.info["reads_requested"] == 40
+    assert result.info["reads_returned"] == returned
+
+
 def test_dwave_solver_embeds_and_runs(runner):
     result = runner.run(AND_PROGRAM, solver="dwave", num_reads=40)
     assert result.embedding is not None
