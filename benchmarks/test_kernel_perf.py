@@ -1,17 +1,14 @@
-"""Sweep-kernel performance: the three-tier lineup plus batching.
+"""Sweep-kernel performance: the two tiers plus batching.
 
 The paper's methodology (Section 5.4) amortizes overhead over thousands
 of reads, which only pays if each read is cheap.  This benchmark anneals
 the Section 6 map-coloring Hamiltonian, minor-embedded onto a pristine
 Chimera C16 (the 2000Q working graph, degree <= 6), at 1000 reads and
-times every runnable kernel tier:
+times both kernel tiers:
 
 * ``dense``  -- the pre-kernel-refactor cost model (every flip updates
   all n local-field columns);
-* ``sparse`` -- the CSR neighbor-list kernel (flip cost O(deg));
-* ``jit``    -- the numba fused sweep loop, when numba is installed
-  (the JSON records ``null`` timings and ``numba_available: false``
-  otherwise, so the committed trajectory shows which tiers ran).
+* ``sparse`` -- the CSR neighbor-list kernel (flip cost O(deg)).
 
 A second benchmark times cross-problem batching: 8 small independent
 problems annealed sequentially vs. packed into one
@@ -22,9 +19,9 @@ committed file doubles as a **regression baseline**: when it holds
 full-scale numbers, the run compares its relative speedups against the
 stored ones with a 20% tolerance band -- a regression beyond the band
 fails the test, while improvements pass and auto-refresh the file (the
-absolute wall times are machine-specific, so only ratios gate).  All
-tiers' samples are also asserted bit-identical at full scale (the
-exactness criterion).
+absolute wall times are machine-specific, so only ratios gate).  Both
+tiers' samples are also asserted bit-identical (the exactness
+criterion).
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a scaled-down model (C8, 50 reads);
 smoke runs still write the JSON and check exactness but skip every
@@ -61,7 +58,6 @@ NUM_SWEEPS = 8 if SMOKE else 32
 REPEATS = 1 if SMOKE else 3
 #: Acceptance floors on this machine's own ratios.
 SPARSE_SPEEDUP_FLOOR = 5.0  # sparse vs dense
-JIT_SPEEDUP_FLOOR = 3.0  # jit vs sparse, when numba runs
 BATCH_GAIN_FLOOR = 2.0  # packed vs sequential dispatch
 #: Regression band vs the committed baseline's ratios: a new ratio may
 #: drop to 80% of the stored one before the gate trips.
@@ -144,14 +140,13 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
     order, _, indptr, indices, _ = physical.to_csr()
     n = len(order)
     nnz = len(indices)
-    numba_available = kernels.jit_available()
 
     timings = {}
     results = {}
-    for tier in kernels.available_kernels():
+    for tier in kernels.KERNELS:
         timings[tier], results[tier] = _time_kernel(physical, tier)
 
-    # Exactness at scale: every runnable tier must be sample-for-sample
+    # Exactness at scale: the tiers must be sample-for-sample
     # interchangeable, not merely statistically equivalent.
     reference = results[kernels.DENSE]
     for tier, result in results.items():
@@ -163,9 +158,6 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         if timings[kernels.SPARSE] > 0
         else float("inf")
     )
-    jit_speedup = None
-    if numba_available and timings.get(kernels.JIT):
-        jit_speedup = timings[kernels.SPARSE] / timings[kernels.JIT]
 
     # --- cross-problem batching ------------------------------------
     problems = _small_problems()
@@ -186,9 +178,8 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
     baseline = _load_baseline()
     payload = {
         "benchmark": "kernel_perf",
-        "version": 2,
+        "version": 3,
         "smoke": SMOKE,
-        "numba_available": numba_available,
         "problem": {
             "name": "australia-map-coloring",
             "logical_variables": len(logical),
@@ -204,10 +195,8 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         "tiers": {
             kernels.DENSE: timings[kernels.DENSE],
             kernels.SPARSE: timings[kernels.SPARSE],
-            kernels.JIT: timings.get(kernels.JIT),
         },
         "speedup_sparse_over_dense": sparse_speedup,
-        "speedup_jit_over_sparse": jit_speedup,
         "auto_kernel": kernels.choose_kernel(n, nnz, num_reads=NUM_READS),
         "samples_identical": True,
         "batched": {
@@ -221,19 +210,17 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         },
     }
     RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    jit_txt = f"{timings[kernels.JIT]:.3f}s" if kernels.JIT in timings else "n/a"
     print(
         f"\nkernel_perf: n={n} nnz={nnz} reads={NUM_READS} "
         f"dense={timings[kernels.DENSE]:.3f}s "
-        f"sparse={timings[kernels.SPARSE]:.3f}s jit={jit_txt} "
+        f"sparse={timings[kernels.SPARSE]:.3f}s "
         f"sparse_speedup={sparse_speedup:.1f}x "
         f"batch_gain={batch_gain:.1f}x"
     )
 
-    # The embedded problem must auto-select the fast sparse-adjacency
-    # tier for wide read batches: jit with numba, sparse without.
-    expected = kernels.JIT if numba_available else kernels.SPARSE
-    assert kernels.choose_kernel(n, nnz, num_reads=NUM_READS) == expected
+    # The embedded problem must auto-select the sparse tier for wide
+    # read batches.
+    assert kernels.choose_kernel(n, nnz, num_reads=NUM_READS) == kernels.SPARSE
     if SMOKE:
         return
 
@@ -242,11 +229,6 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         f"sparse kernel speedup {sparse_speedup:.2f}x below the "
         f"{SPARSE_SPEEDUP_FLOOR}x acceptance floor"
     )
-    if jit_speedup is not None:
-        assert jit_speedup >= JIT_SPEEDUP_FLOOR, (
-            f"jit kernel speedup {jit_speedup:.2f}x over sparse below "
-            f"the {JIT_SPEEDUP_FLOOR}x acceptance floor"
-        )
     assert batch_gain >= BATCH_GAIN_FLOOR, (
         f"batched throughput gain {batch_gain:.2f}x below the "
         f"{BATCH_GAIN_FLOOR}x acceptance floor "
@@ -261,11 +243,6 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
             "sparse-over-dense speedup",
             sparse_speedup,
             baseline.get("speedup_sparse_over_dense"),
-        )
-        _gate_ratio(
-            "jit-over-sparse speedup",
-            jit_speedup,
-            baseline.get("speedup_jit_over_sparse"),
         )
         _gate_ratio(
             "batched throughput gain",

@@ -196,28 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help=(
-            "process-pool size for parallel gauge batches (dwave) and "
-            "qbsolv reads; results are bit-identical to serial runs"
-        ),
-    )
-    parser.add_argument(
-        "--kernel",
-        choices=["dense", "sparse", "jit"],
-        default=None,
-        help=(
-            "force a Metropolis sweep-kernel tier (jit needs numba and "
-            "falls back to sparse with a warning); default auto-selects "
-            "per problem -- all tiers are bit-identical, only speed "
-            "differs"
-        ),
-    )
-    parser.add_argument(
-        "--batch-gauges",
-        action="store_true",
-        help=(
-            "pack the dwave solver's spin-reversal gauge batch into one "
-            "cross-problem kernel invocation (deterministic per seed, "
-            "but samples differ from the serial gauge schedule)"
+            "process-pool size for qbsolv reads and --solver shard "
+            "rounds; results are bit-identical to serial runs"
         ),
     )
     parser.add_argument(
@@ -338,6 +318,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return serve_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
+    # Bad counts are usage errors: one line, before any compiling.
+    counts = (("--num-reads", args.reads), ("--num-sweeps", args.num_sweeps))
+    for flag, value in counts:
+        if value is not None and value < 1:
+            print(
+                f"error: {flag} must be at least 1, got {value}",
+                file=sys.stderr,
+            )
+            return 2
 
     from repro.core import trace as _trace
 
@@ -473,8 +462,6 @@ def _run_command(args: argparse.Namespace) -> int:
             num_reads=args.reads,
             num_sweeps=args.num_sweeps,
             max_workers=args.workers,
-            kernel=args.kernel,
-            batch_gauges=args.batch_gauges,
             batch_shards=args.batch_shards,
             annealing_time_us=args.anneal_time,
             use_roof_duality=args.roof_duality,

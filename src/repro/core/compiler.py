@@ -487,9 +487,9 @@ def run_verilog(
     """Compile and execute in one call (quickstart convenience).
 
     ``num_sweeps`` sets the classical solvers' per-read sweep budget and
-    ``max_workers`` sizes the process pool for parallel gauge batches /
-    qbsolv reads (bit-identical to serial); both default to the
-    runner's behavior when None.
+    ``max_workers`` sizes the process pool for qbsolv reads and shard
+    rounds (bit-identical to serial); both default to the runner's
+    behavior when None.
     """
     compiler = VerilogAnnealerCompiler(seed=seed)
     program = compiler.compile(verilog_source, **options)

@@ -321,17 +321,10 @@ class RunOptions:
     #: each solver's default (the dwave tier derives sweeps from
     #: ``annealing_time_us`` instead).
     num_sweeps: Optional[int] = None
-    #: Process-pool size for parallel gauge batches (dwave) and qbsolv
-    #: reads; None/1 runs serially.  Results are bit-identical either
-    #: way -- seeds are split deterministically from the parent RNG.
+    #: Process-pool size for qbsolv reads and shard rounds; None/1 runs
+    #: serially.  Results are bit-identical either way -- seeds are
+    #: split deterministically from the parent RNG.
     max_workers: Optional[int] = None
-    #: Force a sweep-kernel tier (``"dense"``/``"sparse"``/``"jit"``)
-    #: in every sampling path; None auto-selects per problem.  Tiers
-    #: are bit-identical, so this is purely a performance knob.
-    kernel: Optional[str] = None
-    #: Pack the dwave tier's spin-reversal gauge batches into one
-    #: cross-problem kernel invocation (see repro.solvers.batch).
-    batch_gauges: bool = False
     #: Pack each shard round's subproblems into one kernel invocation.
     batch_shards: bool = False
     annealing_time_us: float = 20.0
@@ -353,6 +346,12 @@ class RunOptions:
     netlist: object = None
     #: Relative tolerance of the certification energy comparison.
     energy_tolerance: float = 1e-6
+
+    def __post_init__(self):
+        if self.num_reads < 1:
+            raise ValueError("num_reads must be positive")
+        if self.num_sweeps is not None and self.num_sweeps < 1:
+            raise ValueError("num_sweeps must be positive")
 
 
 @dataclass
@@ -552,14 +551,7 @@ class SampleStage(Stage):
                 self._fall_back(artifact, context)
         else:
             artifact.sampleset = self._runner._classical_sample(
-                solver,
-                model,
-                num_reads,
-                num_sweeps=options.num_sweeps,
-                max_workers=options.max_workers,
-                kernel=options.kernel,
-                batch_shards=options.batch_shards,
-                deadline=context.deadline,
+                solver, model, options, deadline=context.deadline
             )
             context.scratch["answered_by"] = solver
         if len(model):
@@ -605,14 +597,7 @@ class SampleStage(Stage):
                 continue
             try:
                 artifact.sampleset = self._runner._classical_sample(
-                    tier,
-                    model,
-                    options.num_reads,
-                    num_sweeps=options.num_sweeps,
-                    max_workers=options.max_workers,
-                    kernel=options.kernel,
-                    batch_shards=options.batch_shards,
-                    deadline=context.deadline,
+                    tier, model, options, deadline=context.deadline
                 )
             except Exception as exc:  # a broken tier just deepens the fall
                 last_error = exc
@@ -1058,7 +1043,10 @@ class RepairStage(Stage):
         """Replace still-uncertified rows with freshly sampled reads."""
         options: RunOptions = context.options
         policy = options.retry
-        num_reads = max(1, int(options.num_reads * policy.repair_read_factor))
+        escalated = dataclasses.replace(
+            options,
+            num_reads=max(1, int(options.num_reads * policy.repair_read_factor)),
+        )
         answered_by = context.scratch.get("answered_by")
 
         if answered_by == "dwave" and artifact.embedding is not None:
@@ -1073,7 +1061,6 @@ class RepairStage(Stage):
                 chain_strength=chain_strength,
             )
             scaled, _factor = scale_to_hardware(physical)
-            escalated = dataclasses.replace(options, num_reads=num_reads)
             raw = self._runner._sample_with_retry(
                 machine, scaled, escalated, context
             )
@@ -1089,11 +1076,7 @@ class RepairStage(Stage):
             fresh = self._runner._classical_sample(
                 solver,
                 artifact.solve_model,
-                num_reads,
-                num_sweeps=options.num_sweeps,
-                max_workers=options.max_workers,
-                kernel=options.kernel,
-                batch_shards=options.batch_shards,
+                escalated,
                 seed_offset=round_index,
                 deadline=context.deadline,
             )
@@ -1250,9 +1233,6 @@ class QmasmRunner:
                     num_spin_reversal_transforms=(
                         1 if attempt > 0 and policy.gauge_on_retry else 0
                     ),
-                    kernel=options.kernel,
-                    max_workers=options.max_workers,
-                    batch_gauges=options.batch_gauges,
                     deadline=context.deadline,
                 )
             except TransientSolverError as exc:
@@ -1268,47 +1248,45 @@ class QmasmRunner:
         self,
         solver: str,
         model: IsingModel,
-        num_reads: int,
-        num_sweeps: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        batch_shards: bool = False,
+        options: RunOptions,
         seed_offset: int = 0,
         deadline: Optional[Deadline] = None,
     ) -> SampleSet:
         """One classical tier: the logical model on a software solver.
 
-        ``seed_offset`` perturbs the sampler seed deterministically --
-        repair re-sample rounds must draw *fresh* reads, not replay the
-        round that produced the uncertified ones.
+        Reads ``num_reads``, ``num_sweeps``, ``max_workers`` and
+        ``batch_shards`` from ``options``.  ``seed_offset`` perturbs the
+        sampler seed deterministically -- repair re-sample rounds must
+        draw *fresh* reads, not replay the round that produced the
+        uncertified ones.
         """
         seed = self.seed
         if seed is not None and seed_offset:
             seed = seed + seed_offset
+        num_reads = options.num_reads
+        num_sweeps = options.num_sweeps
         if solver == "sa":
             kwargs = {} if num_sweeps is None else {"num_sweeps": num_sweeps}
             return SimulatedAnnealingSampler(seed=seed).sample(
-                model, num_reads=num_reads, kernel=kernel,
-                deadline=deadline, **kwargs
+                model, num_reads=num_reads, deadline=deadline, **kwargs
             )
         if solver == "sqa":
             from repro.solvers.sqa import PathIntegralAnnealer
 
             kwargs = {} if num_sweeps is None else {"num_sweeps": num_sweeps}
             return PathIntegralAnnealer(seed=seed).sample(
-                model, num_reads=min(num_reads, 32), kernel=kernel,
-                deadline=deadline, **kwargs
+                model, num_reads=min(num_reads, 32), deadline=deadline,
+                **kwargs
             )
         if solver == "exact":
             return ExactSolver().sample(model, num_lowest=num_reads)
         if solver == "tabu":
             kwargs = {} if num_sweeps is None else {"max_iter": num_sweeps}
             return TabuSampler(seed=seed).sample(
-                model, num_reads=num_reads, kernel=kernel,
-                deadline=deadline, **kwargs
+                model, num_reads=num_reads, deadline=deadline, **kwargs
             )
         if solver == "qbsolv":
-            return QBSolv(seed=seed, max_workers=max_workers).sample(
+            return QBSolv(seed=seed, max_workers=options.max_workers).sample(
                 model, num_reads=min(num_reads, 10)
             )
         if solver == "shard":
@@ -1324,13 +1302,12 @@ class QmasmRunner:
                 properties=machine.properties,
                 machines=self.machines,
                 seed=seed,
-                max_workers=max_workers,
+                max_workers=options.max_workers,
                 fleet=self.fleet,
                 faults=injector.spec if injector is not None else None,
                 checkpoint=self.checkpoint_dir,
                 resume=self.resume,
-                kernel=kernel,
-                batch_rounds=batch_shards,
+                batch_rounds=options.batch_shards,
             ).sample(
                 model, num_reads=min(num_reads, 5), deadline=deadline
             )
@@ -1403,8 +1380,6 @@ class QmasmRunner:
         num_reads: int = 100,
         num_sweeps: Optional[int] = None,
         max_workers: Optional[int] = None,
-        kernel: Optional[str] = None,
-        batch_gauges: bool = False,
         batch_shards: bool = False,
         annealing_time_us: float = 20.0,
         chain_strength: Optional[float] = None,
@@ -1435,26 +1410,17 @@ class QmasmRunner:
                 ``"shard"`` (decompose across the runner's simulated
                 fleet of ``machines`` chips -- the path for programs too
                 large for any single working graph).
-            num_reads: anneals / reads to perform.
+            num_reads: anneals / reads to perform (at least 1).
             num_sweeps: Metropolis sweeps per read for the classical
                 solvers (``sa``/``sqa``; ``tabu`` treats it as its
                 iteration budget); None keeps each solver's default.
                 The dwave tier derives sweeps from ``annealing_time_us``.
-            max_workers: process-pool size for parallel spin-reversal
-                gauge batches (dwave), qbsolv reads, and shard dispatch;
-                results are bit-identical to serial runs.
-            kernel: force a Metropolis sweep-kernel tier --
-                ``"dense"``, ``"sparse"``, or ``"jit"`` (numba; falls
-                back to sparse with a warning when numba is absent);
-                None auto-selects per problem.  All tiers produce
-                bit-identical samples, so this only affects speed.
-            batch_gauges: pack the dwave tier's spin-reversal gauge
-                batch into one cross-problem kernel invocation instead
-                of annealing gauges one-by-one (or via a process pool).
-                Deterministic under a fixed seed, but the shared RNG
-                stream means samples differ from the serial schedule.
-            batch_shards: likewise pack each shard round's embedded
-                subproblems into one kernel invocation.
+            max_workers: process-pool size for qbsolv reads and shard
+                rounds; results are bit-identical to serial runs.
+            batch_shards: pack each shard round's embedded subproblems
+                into one cross-problem kernel invocation.  Deterministic
+                under a fixed seed, but the shared RNG stream means
+                samples differ from the unbatched schedule.
             annealing_time_us: per-anneal time for the dwave solver.
             chain_strength / pin_strength: see
                 :meth:`LogicalProgram.to_ising`.
@@ -1498,18 +1464,11 @@ class QmasmRunner:
         if solver == "dwave" and postprocess not in ("none", "optimization"):
             raise ValueError(f"unknown postprocess {postprocess!r}")
 
-        logical = self._to_logical(source, pins)
-        logical_model, representative = logical.to_ising(
-            chain_strength=chain_strength, pin_strength=pin_strength
-        )
-
         options = RunOptions(
             solver=solver,
             num_reads=num_reads,
             num_sweeps=num_sweeps,
             max_workers=max_workers,
-            kernel=kernel,
-            batch_gauges=batch_gauges,
             batch_shards=batch_shards,
             annealing_time_us=annealing_time_us,
             chain_strength=chain_strength,
@@ -1523,6 +1482,11 @@ class QmasmRunner:
             repair=repair,
             netlist=netlist,
             energy_tolerance=energy_tolerance,
+        )
+
+        logical = self._to_logical(source, pins)
+        logical_model, representative = logical.to_ising(
+            chain_strength=chain_strength, pin_strength=pin_strength
         )
         run_deadline: Optional[Deadline] = (
             deadline

@@ -3,10 +3,8 @@
 Submissions land in a bounded :class:`queue.Queue` and are drained by a
 fixed pool of worker threads, each executing jobs through the service's
 executor callable.  Threads (not processes) are the right grain here:
-the executor itself fans heavy sampling out to the deterministic
-process-pool machinery in :mod:`repro.solvers.machine` when a job asks
-for ``max_workers``, so the service threads mostly orchestrate and
-share the in-process caches.
+every job shares the service's in-process compile and embedding
+caches.
 
 Shutdown is a first-class contract (the test suite asserts it): with
 ``drain=True`` every queued and in-flight job completes before the

@@ -1,11 +1,10 @@
 """Cross-problem sweep batching: many independent anneals, one kernel.
 
-Fleet dispatch (``repro.solvers.shard``), gauge replicas
-(``DWaveSimulator``), and service-style traffic all produce streams of
-*small, independent* Ising problems.  Annealing them one at a time pays
-the per-problem Python overhead -- schedule setup, per-proposal numpy
-dispatch on a handful of rows -- over and over, which is exactly the
-cost the sparse kernel rewrite couldn't remove.  This module packs K
+Fleet dispatch (``repro.solvers.shard``) and service-style traffic
+produce streams of *small, independent* Ising problems.  Annealing them
+one at a time pays the per-problem Python overhead -- schedule setup,
+per-proposal numpy dispatch on a handful of rows -- over and over,
+which is exactly the cost the sparse kernel rewrite couldn't remove.  This module packs K
 independent problems into **one** sweep-kernel invocation.
 
 The packing is *stacked*, not block-diagonal over variables.  A
@@ -27,16 +26,15 @@ proposal count unchanged -- no numpy win at all.  Instead:
   heterogeneous coefficient scales keep their own neal-style schedule.
 
 A sweep of the packed matrix therefore costs K problems' progress for
-one Python/numpy proposal loop (or one compiled call on the ``jit``
-tier), and ragged read counts / variable counts are handled naturally.
-Throughput: >= 2x over sequential dispatch for 8 small problems in pure
-numpy (see ``benchmarks/test_kernel_perf.py``), more with numba.
+one Python/numpy proposal loop, and ragged read counts / variable
+counts are handled naturally.  Throughput: >= 2x over sequential
+dispatch for 8 small problems (see ``benchmarks/test_kernel_perf.py``).
 
 The batch is a *different RNG-consumption pattern* than K sequential
 anneals (one shared stream drives the packed matrix), so batched runs
 are deterministic given the job seed but not sample-identical to
-sequential runs; callers opt in (``batch_gauges=True`` on the machine,
-``batch_rounds=True`` on the shard solver).
+sequential runs; callers opt in (``batch_rounds=True`` on the shard
+solver).
 """
 
 from __future__ import annotations
@@ -67,21 +65,11 @@ class BatchedSweepJob:
     from fresh random states drawn from the job's RNG stream.
     """
 
-    def __init__(self, seed: Optional[int] = None, kernel: Optional[str] = None):
+    def __init__(self, seed: Optional[int] = None):
         """Args:
             seed: seed for the job's single shared RNG stream.
-            kernel: ``"jit"`` / ``"sparse"`` / None (auto: jit when
-                numba is available).  The stacked layout has no dense
-                tier -- ``"dense"`` is accepted and mapped to the
-                stacked numpy path, and ``"jit"`` without numba warns
-                once and runs the numpy path.
         """
-        if kernel is not None and kernel not in kernels.KERNELS:
-            raise ValueError(
-                f"unknown kernel {kernel!r}; expected one of {kernels.KERNELS}"
-            )
         self._rng = np.random.default_rng(seed)
-        self.kernel = kernel
         self._problems: List[Tuple[IsingModel, int, Optional[Tuple[float, float]]]] = []
 
     def add(
@@ -111,15 +99,6 @@ class BatchedSweepJob:
     def __len__(self) -> int:
         return len(self._problems)
 
-    def _resolve_tier(self) -> str:
-        """``jit`` when runnable, else the stacked numpy path (``sparse``)."""
-        if self.kernel == kernels.JIT or self.kernel is None:
-            if kernels.jit_available():
-                return kernels.JIT
-            if self.kernel == kernels.JIT:
-                kernels._warn_jit_fallback()
-        return kernels.SPARSE
-
     def run(self, num_sweeps: int = 1000, deadline=None) -> List[SampleSet]:
         """Anneal every queued problem; one energy-sorted SampleSet each.
 
@@ -134,7 +113,8 @@ class BatchedSweepJob:
         """
         if not self._problems:
             return []
-        tier = self._resolve_tier()
+        # The stacked layout walks neighbor slots: the sparse tier.
+        tier = kernels.SPARSE
 
         csrs = [model.to_csr() for model, _, _ in self._problems]
         sizes = [len(order) for (order, _, _, _, _) in csrs]
@@ -197,16 +177,10 @@ class BatchedSweepJob:
                 )
 
         # --- the packed anneal -----------------------------------------
-        if tier == kernels.JIT:
-            accepted, completed = self._run_jit(
-                spins, fields, bindptr, bindices, bdata, prob_of_row,
-                betas, deadline,
-            )
-        else:
-            accepted, completed = self._run_numpy(
-                spins, fields, bindptr, bindices, bdata, prob_of_row,
-                betas, deadline,
-            )
+        accepted, completed = self._run_numpy(
+            spins, fields, bindptr, bindices, bdata, prob_of_row,
+            betas, deadline,
+        )
         elapsed = time.perf_counter() - start_time
 
         # --- unpack ----------------------------------------------------
@@ -299,70 +273,16 @@ class BatchedSweepJob:
             completed += 1
         return accepted, completed
 
-    def _run_jit(
-        self, spins, fields, bindptr, bindices, bdata, prob_of_row,
-        betas, deadline,
-    ) -> Tuple[int, int]:
-        """Compiled twin of :meth:`_run_numpy`, chunked like the jit tier.
-
-        Chunks never cross a DEADLINE_SWEEP_BATCH boundary, so deadline
-        polls land at the same sweep indices as the numpy path, and the
-        RNG stream (permutation + log-uniform block per sweep) is
-        consumed in the identical order -- the two paths are
-        sample-for-sample identical for the same job seed.
-        """
-        jit_mod = kernels._load_jit()
-        num_sweeps = betas.shape[0]
-        total_rows, n = spins.shape
-        max_chunk = max(
-            1,
-            min(
-                kernels.DEADLINE_SWEEP_BATCH,
-                kernels.JIT_CHUNK_ELEMENTS // max(1, n * total_rows),
-            ),
-        )
-        accepted = 0
-        sweep = 0
-        while sweep < num_sweeps:
-            if (
-                deadline is not None
-                and sweep % kernels.DEADLINE_SWEEP_BATCH == 0
-                and deadline.expired()
-            ):
-                break
-            window_end = min(
-                num_sweeps,
-                sweep
-                + kernels.DEADLINE_SWEEP_BATCH
-                - (sweep % kernels.DEADLINE_SWEEP_BATCH),
-            )
-            chunk = min(max_chunk, window_end - sweep)
-            perms = np.empty((chunk, n), dtype=np.int64)
-            log_u = np.empty((chunk, n, total_rows), dtype=float)
-            for c in range(chunk):
-                perms[c] = self._rng.permutation(n)
-                kernels.log_uniforms(self._rng, (n, total_rows), out=log_u[c])
-            accepted += int(
-                jit_mod.batched_metropolis_chunk(
-                    spins, fields, bindptr, bindices, bdata, prob_of_row,
-                    perms, log_u,
-                    np.ascontiguousarray(betas[sweep : sweep + chunk]),
-                )
-            )
-            sweep += chunk
-        return accepted, sweep
-
 
 def sample_batched(
     models,
     num_reads: int = 25,
     num_sweeps: int = 1000,
     seed: Optional[int] = None,
-    kernel: Optional[str] = None,
     deadline=None,
 ) -> List[SampleSet]:
     """One-shot convenience: anneal a list of models in one packed job."""
-    job = BatchedSweepJob(seed=seed, kernel=kernel)
+    job = BatchedSweepJob(seed=seed)
     for model in models:
         job.add(model, num_reads=num_reads)
     return job.run(num_sweeps=num_sweeps, deadline=deadline)

@@ -47,9 +47,9 @@ class SteepestDescentSolver:
                 starts); otherwise inferred from the given states.
             initial_states: optional (reads, n) spin matrix to polish.
             max_sweeps: safety bound on descent sweeps.
-            kernel: ``"dense"``/``"sparse"``/``"jit"`` to force a
-                field-update tier; None picks by model size, density,
-                and the number of rows descending together.
+            kernel: ``"dense"``/``"sparse"`` to force a field-update
+                tier; None picks by model size, density, and the number
+                of rows descending together.
             deadline: optional :class:`~repro.core.deadline.Deadline`;
                 checked once per descent sweep.  Expiry stops the
                 descent cleanly mid-way (states may not yet be local

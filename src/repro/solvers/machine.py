@@ -15,9 +15,8 @@ reproduced in shape.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import networkx as nx
 import numpy as np
@@ -30,62 +29,6 @@ from repro.hardware.topology import coupler_dropout, dropout
 from repro.ising.model import IsingModel
 from repro.solvers.neal import SimulatedAnnealingSampler
 from repro.solvers.sampleset import SampleSet
-
-
-def _anneal_batch(job, deadline=None) -> Tuple[List, np.ndarray, str, bool]:
-    """Anneal one gauge batch on a private sampler.
-
-    Module-level so a :class:`~concurrent.futures.ProcessPoolExecutor`
-    can pickle it; every stochastic input (the programmed model and the
-    core seed) is baked into ``job`` by the parent, so the result does
-    not depend on which process runs it or in what order.
-
-    The job's sixth slot is a picklable
-    :class:`~repro.core.deadline.Budget` (or None): monotonic-clock
-    readings cannot cross a process boundary, so each worker re-arms
-    the remaining budget on its own clock via ``budget.start()``.  A
-    live ``deadline`` argument (serial path only) takes precedence.
-    """
-    programmed, batch_reads, num_sweeps, core_seed, kernel, budget = job
-    if deadline is None and budget is not None:
-        deadline = budget.start()
-    core = SimulatedAnnealingSampler(seed=core_seed)
-    raw = core.sample(
-        programmed, num_reads=batch_reads, num_sweeps=num_sweeps, kernel=kernel,
-        deadline=deadline,
-    )
-    interrupted = bool(raw.info.get("deadline_interrupted", False))
-    return list(raw.variables), raw.records, raw.info.get("kernel", ""), interrupted
-
-
-def _anneal_gauge_batch(jobs, deadline=None) -> List[Tuple[List, np.ndarray, str, bool]]:
-    """Anneal every gauge batch in one packed kernel invocation.
-
-    The jobs' programmed models, read counts, and seeds were all drawn
-    by the parent exactly as for serial/pooled dispatch; the first job's
-    core seed seeds the shared batch stream.  Every batch carries the
-    same ``num_sweeps`` (one annealing time per call), and the shared
-    deadline interrupts all batches at the same sweep.
-    """
-    from repro.solvers.batch import BatchedSweepJob
-
-    _, _, num_sweeps, first_seed, kernel, budget = jobs[0]
-    if deadline is None and budget is not None:
-        deadline = budget.start()
-    batch = BatchedSweepJob(seed=first_seed, kernel=kernel)
-    for programmed, batch_reads, _sweeps, _seed, _kernel, _budget in jobs:
-        batch.add(programmed, num_reads=batch_reads)
-    results = []
-    for raw in batch.run(num_sweeps=num_sweeps, deadline=deadline):
-        results.append(
-            (
-                list(raw.variables),
-                raw.records,
-                raw.info.get("kernel", ""),
-                bool(raw.info.get("deadline_interrupted", False)),
-            )
-        )
-    return results
 
 
 @dataclass
@@ -210,8 +153,6 @@ class DWaveSimulator:
         apply_noise: bool = True,
         num_spin_reversal_transforms: int = 0,
         kernel: Optional[str] = None,
-        max_workers: Optional[int] = None,
-        batch_gauges: bool = False,
         deadline=None,
     ) -> SampleSet:
         """Anneal an embedded problem ``num_reads`` times.
@@ -230,31 +171,11 @@ class DWaveSimulator:
                 the problem is mathematically unchanged but systematic
                 analog biases decorrelate across gauges.
             kernel: force the annealing core's sweep tier
-                (``"dense"``/``"sparse"``/``"jit"``); None auto-selects.
-            max_workers: run the gauge batches in a process pool of this
-                size.  All randomness (gauges, analog noise, per-batch
-                core seeds) is drawn from the simulator RNG *before*
-                dispatch, so results are bit-identical to serial.
-            batch_gauges: pack all gauge batches into one
-                :class:`~repro.solvers.batch.BatchedSweepJob` kernel
-                invocation instead of annealing them one (or one pool
-                worker) at a time.  Gauges, noise, and seeds are still
-                drawn pre-dispatch, so the *programmed* models are
-                bit-identical to the serial path, but the packed anneal
-                consumes one shared RNG stream -- results are
-                deterministic given the simulator seed, not
-                sample-identical to unbatched runs.  Takes precedence
-                over ``max_workers`` when more than one gauge batch
-                exists.
-            deadline: optional :class:`~repro.core.deadline.Deadline`.
-                The serial path hands the live deadline straight to the
-                annealing core; the pooled path ships a picklable
-                remaining-seconds :class:`~repro.core.deadline.Budget`
-                in each job (workers re-arm it on their own monotonic
-                clock).  Interrupted anneals return whatever sweeps
-                completed and set ``info["deadline_interrupted"]``; the
-                pool context always joins its workers, so expiry leaks
-                no processes.
+                (``"dense"``/``"sparse"``); None auto-selects.
+            deadline: optional :class:`~repro.core.deadline.Deadline`,
+                handed to the annealing core of every gauge batch.
+                Interrupted anneals return whatever sweeps completed
+                and set ``info["deadline_interrupted"]``.
 
         Returns:
             A :class:`SampleSet` whose ``info["timing"]`` mirrors a QPU
@@ -267,6 +188,8 @@ class DWaveSimulator:
                 f"annealing time {annealing_time_us} us outside "
                 f"[{props.min_annealing_time_us}, {props.max_annealing_time_us}]"
             )
+        if num_reads < 1:
+            raise ValueError("num_reads must be positive")
         if num_spin_reversal_transforms < 0:
             raise ValueError("num_spin_reversal_transforms must be >= 0")
         self.validate_problem(model)
@@ -285,13 +208,13 @@ class DWaveSimulator:
             num_reads // batches + (1 if i < num_reads % batches else 0)
             for i in range(batches)
         ]
-        # Every stochastic input -- gauge draws, analog control noise,
-        # and each batch's annealing-core seed -- is consumed from the
-        # simulator RNG serially *before* any sampling runs.  Batch
-        # execution is therefore a pure function of its job tuple, and
-        # dispatching the jobs to a process pool cannot change results.
-        jobs = []
-        gauges = []
+        # Each batch draws its gauge, its analog control noise and its
+        # annealing core's seed from the simulator RNG, in that order;
+        # the core anneals on its own RNG, so the simulator stream
+        # depends only on the batch sizes.
+        records = []
+        kernel_used = ""
+        any_interrupted = False
         for batch_reads in reads_per_batch:
             if batch_reads == 0:
                 continue
@@ -303,34 +226,18 @@ class DWaveSimulator:
             programmed = (
                 self._apply_control_noise(gauged) if apply_noise else gauged
             )
-            core_seed = int(self._rng.integers(0, 2**63))
-            budget = deadline.budget() if deadline is not None else None
-            jobs.append(
-                (programmed, batch_reads, num_sweeps, core_seed, kernel, budget)
+            core = SimulatedAnnealingSampler(seed=int(self._rng.integers(0, 2**63)))
+            raw = core.sample(
+                programmed, num_reads=batch_reads, num_sweeps=num_sweeps,
+                kernel=kernel, deadline=deadline,
             )
-            gauges.append(gauge)
-
-        if batch_gauges and len(jobs) > 1:
-            results = _anneal_gauge_batch(jobs, deadline=deadline)
-        elif max_workers is not None and max_workers > 1 and len(jobs) > 1:
-            # The ``with`` context shuts the pool down and joins every
-            # worker before returning -- a deadline expiry can shorten
-            # the anneals but never leak processes.
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                results = list(pool.map(_anneal_batch, jobs))
-        else:
-            results = [_anneal_batch(job, deadline=deadline) for job in jobs]
-
-        records = []
-        kernel_used = ""
-        any_interrupted = False
-        for (variables, raw_records, kernel_used, interrupted), gauge in zip(
-            results, gauges
-        ):
-            any_interrupted = any_interrupted or interrupted
+            kernel_used = raw.info.get("kernel", "")
+            any_interrupted = any_interrupted or bool(
+                raw.info.get("deadline_interrupted", False)
+            )
             # Undo the gauge on readout (and restore variable order).
-            positions = [variables.index(v) for v in order]
-            rows = raw_records[:, positions].astype(float) * gauge[None, :]
+            positions = [raw.variables.index(v) for v in order]
+            rows = raw.records[:, positions].astype(float) * gauge[None, :]
             records.append(rows.astype(np.int8))
 
         all_records = np.vstack(records)
@@ -359,12 +266,9 @@ class DWaveSimulator:
             "num_sweeps": num_sweeps,
             "num_reads": num_reads,
             "kernel": kernel_used,
-            "max_workers": max_workers,
             "noise_applied": apply_noise,
             "num_spin_reversal_transforms": num_spin_reversal_transforms,
         }
-        if batch_gauges and len(jobs) > 1:
-            sampleset.info["batched_gauges"] = True
         if any_interrupted:
             sampleset.info["deadline_interrupted"] = True
         if reads_corrupted:

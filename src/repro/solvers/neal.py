@@ -11,9 +11,8 @@ Implementation notes:
   shared sweep kernels in :mod:`repro.solvers.kernels`: a single
   spin-flip proposal is O(num_reads) to evaluate, and the field update
   is O(num_reads * n) on the dense kernel or O(num_reads * degree) on
-  the sparse/jit kernels.  Embedded problems (Chimera degree <= 6) pick
-  the sparse kernel automatically -- or the numba-compiled ``jit`` tier
-  when numba is installed.
+  the sparse kernel.  Embedded problems (Chimera degree <= 6) pick the
+  sparse kernel automatically.
 - The temperature follows a geometric beta schedule whose default range
   is derived from the model's coefficient magnitudes, mirroring neal's
   heuristic: hot enough to accept the worst single flip with probability
@@ -80,11 +79,9 @@ class SimulatedAnnealingSampler:
             initial_states: optional (num_reads, n) spin matrix (values
                 strictly in {-1, +1}) to start from instead of uniform
                 random states.
-            kernel: ``"dense"``/``"sparse"``/``"jit"`` to force a sweep
-                tier; None picks by model size, density, and read-batch
-                width (:func:`repro.solvers.kernels.choose_kernel`).
-                ``"jit"`` needs numba and falls back to ``"sparse"``
-                (warning once) without it.
+            kernel: ``"dense"``/``"sparse"`` to force a sweep tier;
+                None picks by model size, density, and read-batch width
+                (:func:`repro.solvers.kernels.choose_kernel`).
             deadline: optional :class:`~repro.core.deadline.Deadline`;
                 the sweep loop stops cooperatively at sweep-batch
                 granularity when it expires (never raises).  A short run

@@ -128,9 +128,11 @@ class QBSolv:
                 samples are bit-identical to a serial run; ignored (and
                 reads stay serial) with a custom subsolver.
         """
+        if num_reads < 1:
+            raise ValueError("num_reads must be positive")
         order = list(model.variables)
         if len(order) <= self.subproblem_size:
-            return self.subsolver.sample(model, num_reads=max(num_reads, 1))
+            return self.subsolver.sample(model, num_reads=num_reads)
         if max_workers is None:
             max_workers = self.max_workers
         start = time.perf_counter()

@@ -128,7 +128,7 @@ def _solve_shard(job) -> Tuple[Dict, float, float, int, bool, float]:
     Returns ``(assignment, energy, elapsed_s, reads, interrupted,
     chain_break_fraction)``.
     """
-    properties, embedding, sub_model, reads, anneal_us, seed, budget, kernel = job
+    properties, embedding, sub_model, reads, anneal_us, seed, budget = job
     deadline = budget.start() if budget is not None else None
     start = time.perf_counter()
     chain_breaks = 0.0
@@ -136,7 +136,7 @@ def _solve_shard(job) -> Tuple[Dict, float, float, int, bool, float]:
         # Fallback shard (unembeddable region or no healthy machine):
         # tabu on the clamped subproblem keeps the shard solvable.
         logical = TabuSampler(seed=seed).sample(
-            sub_model, num_reads=1, kernel=kernel, deadline=deadline
+            sub_model, num_reads=1, deadline=deadline
         )
     else:
         machine = _fleet_machine(properties)
@@ -149,7 +149,6 @@ def _solve_shard(job) -> Tuple[Dict, float, float, int, bool, float]:
             scaled,
             num_reads=reads,
             annealing_time_us=anneal_us,
-            kernel=kernel,
             deadline=deadline,
         )
         logical = unembed_sampleset(raw, embedding, sub_model)
@@ -200,10 +199,6 @@ class ShardSolver:
             clauses drive the deterministic fault plan.
         health_policy: quarantine thresholds
             (:class:`~repro.solvers.fleet.HealthPolicy`).
-        kernel: force the sweep tier (``"dense"``/``"sparse"``/
-            ``"jit"``) inside every shard's annealing core and the tabu
-            fallback; None auto-selects per shard.  Tiers are
-            bit-identical, so this never changes answers.
         batch_rounds: pack each round's embedded shards into one
             :class:`~repro.solvers.batch.BatchedSweepJob` kernel
             invocation instead of one machine call (or pool worker) per
@@ -238,7 +233,6 @@ class ShardSolver:
         health_policy: Optional[HealthPolicy] = None,
         checkpoint: Union[CheckpointCache, str, None] = None,
         resume: bool = False,
-        kernel: Optional[str] = None,
         batch_rounds: bool = False,
     ):
         if fleet is None and machines < 1:
@@ -274,7 +268,6 @@ class ShardSolver:
             raise ValueError("shard_size must be >= 1")
         self.num_reads_per_shard = num_reads_per_shard
         self.annealing_time_us = annealing_time_us
-        self.kernel = kernel
         self.batch_rounds = bool(batch_rounds)
         self.max_rounds = max_rounds
         self.patience = patience
@@ -635,8 +628,7 @@ class ShardSolver:
             )
             jobs.append((
                 props, embeddings[index], sub,
-                self.num_reads_per_shard, self.annealing_time_us,
-                seed, budget, self.kernel,
+                self.num_reads_per_shard, self.annealing_time_us, seed, budget,
             ))
         self._shards_dispatched += count
         pool_width = min(workers, self.machines, len(jobs))
@@ -697,7 +689,7 @@ class ShardSolver:
         # (num_sweeps) -> list of prepared embedded shards.
         groups: Dict[int, List[Tuple]] = {}
         for index, job in enumerate(jobs):
-            props, embedding, sub, reads, anneal_us, seed, budget, _kernel = job
+            props, embedding, sub, reads, anneal_us, seed, budget = job
             if embedding is None:
                 results[index] = _solve_shard(job)
                 continue
@@ -713,7 +705,7 @@ class ShardSolver:
                  reads, seed, budget)
             )
         for num_sweeps, entries in groups.items():
-            batch = BatchedSweepJob(seed=entries[0][5], kernel=self.kernel)
+            batch = BatchedSweepJob(seed=entries[0][5])
             for (_i, _emb, _sub, _scaled, programmed, _cs, reads,
                  _seed, _budget) in entries:
                 batch.add(programmed, num_reads=reads)

@@ -2,8 +2,8 @@
 
 Covers the packed-layout invariants (energies stay exact under column
 padding and slot padding), determinism, ragged batches, the shared
-deadline contract, and the two opt-in integration points: gauge-batched
-machine sampling and shard rounds packed into one kernel invocation.
+deadline contract, and the opt-in integration point: shard rounds
+packed into one kernel invocation.
 """
 
 import warnings
@@ -14,7 +14,7 @@ import pytest
 from repro.ising.model import IsingModel
 from repro.solvers import kernels
 from repro.solvers.batch import BatchedSweepJob, sample_batched
-from repro.solvers.machine import DWaveSimulator, MachineProperties
+from repro.solvers.machine import MachineProperties
 from repro.solvers.shard import ShardSolver
 
 
@@ -107,38 +107,11 @@ def test_per_problem_beta_range_override():
 
 def test_empty_job_and_validation():
     assert BatchedSweepJob().run() == []
-    with pytest.raises(ValueError):
-        BatchedSweepJob(kernel="blas")
     job = BatchedSweepJob()
     with pytest.raises(ValueError):
         job.add(_chain(3), num_reads=0)
     with pytest.raises(ValueError):
         job.add(_chain(3), beta_range=(2.0, 1.0))
-
-
-def test_explicit_jit_without_numba_warns(monkeypatch):
-    monkeypatch.setitem(kernels._JIT_STATE, "checked", True)
-    monkeypatch.setitem(kernels._JIT_STATE, "module", None)
-    monkeypatch.setitem(kernels._JIT_STATE, "warned", False)
-    job = BatchedSweepJob(seed=0, kernel="jit")
-    job.add(_chain(4), num_reads=2)
-    with pytest.warns(RuntimeWarning, match="requires numba"):
-        (result,) = job.run(num_sweeps=10)
-    assert result.info["kernel"] == "sparse"
-
-
-@pytest.mark.skipif(not kernels.jit_available(), reason="numba not installed")
-def test_batched_jit_matches_numpy_bitwise():
-    models = [_random_model(10, 8), _random_model(25, 9), _chain(7)]
-
-    def run(kernel):
-        return sample_batched(
-            models, num_reads=6, num_sweeps=35, seed=13, kernel=kernel
-        )
-
-    for a, b in zip(run("sparse"), run("jit")):
-        _assert_identical(a, b)
-        assert b.info["kernel"] == "jit"
 
 
 # ----------------------------------------------------------------------
@@ -174,37 +147,6 @@ def test_deadline_interrupts_whole_batch():
             result.energies,
             models[result.info["batch_index"]].energies(result.records),
         )
-
-
-# ----------------------------------------------------------------------
-# Integration: gauge-batched machine sampling
-# ----------------------------------------------------------------------
-def _machine_problem():
-    props = MachineProperties(cells=4, dropout_fraction=0.0)
-    machine = DWaveSimulator(properties=props, seed=11)
-    model = IsingModel()
-    for u, v in list(machine.working_graph.edges())[:12]:
-        model.add_variable(u, 0.25)
-        model.add_variable(v, -0.25)
-        model.add_interaction(u, v, -1.0)
-    return props, model
-
-
-def test_machine_batch_gauges_deterministic_and_flagged():
-    props, model = _machine_problem()
-
-    def run():
-        return DWaveSimulator(properties=props, seed=11).sample_ising(
-            model,
-            num_reads=12,
-            num_spin_reversal_transforms=4,
-            batch_gauges=True,
-        )
-
-    first = run()
-    assert first.info.get("batched_gauges") is True
-    assert int(first.occurrences.sum()) == 12
-    _assert_identical(first, run())
 
 
 # ----------------------------------------------------------------------

@@ -94,6 +94,30 @@ def test_missing_source_exits_2_with_one_line(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "solver, flag, value, reported",
+    [
+        ("dwave", "--num-reads", "0", "--num-reads"),
+        ("qbsolv", "--num-reads", "0", "--num-reads"),
+        ("sa", "--reads", "-1", "--num-reads"),
+        ("sa", "--num-sweeps", "-3", "--num-sweeps"),
+        ("sqa", "--num-sweeps", "-3", "--num-sweeps"),
+        ("tabu", "--num-sweeps", "-3", "--num-sweeps"),
+    ],
+)
+def test_nonpositive_reads_or_sweeps_exit_2_before_compiling(
+    verilog_file, capsys, monkeypatch, solver, flag, value, reported
+):
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the CLI built a compiler for a bad count")
+
+    monkeypatch.setattr("repro.core.cli.VerilogAnnealerCompiler", no_compiler)
+    code = main([verilog_file, "--run", "--solver", solver, flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {reported} must be at least 1, got {value}\n"
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 

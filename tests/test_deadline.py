@@ -2,12 +2,10 @@
 
 Covers the Deadline/Budget primitives, the PassManager's per-stage
 deadline policies, cooperative sampler interruption for every backend,
-process-pool budget handoff (no leaked workers), and the runner's
-end-to-end ``deadline=`` behavior including the partial-result
-guarantee.
+and the runner's end-to-end ``deadline=`` behavior including the
+partial-result guarantee.
 """
 
-import multiprocessing
 import pickle
 import random
 import time
@@ -246,7 +244,7 @@ def test_sweep_batch_overshoot_bound():
 
 
 # ----------------------------------------------------------------------
-# Machine: pooled execution with budgets
+# Machine: gauge batches under a budget
 # ----------------------------------------------------------------------
 def _machine(**kwargs):
     return DWaveSimulator(
@@ -274,46 +272,6 @@ def test_machine_serial_deadline_interrupts():
     )
     assert len(result)
     assert result.info["deadline_interrupted"] is True
-
-
-def test_machine_pooled_deadline_no_leaked_workers():
-    machine = _machine()
-    model = _physical_model(machine)
-    before = {p.pid for p in multiprocessing.active_children()}
-    result = machine.sample_ising(
-        model,
-        num_reads=16,
-        num_spin_reversal_transforms=4,
-        max_workers=2,
-        deadline=Deadline(1e-3),
-    )
-    # Give the executor's atexit-free shutdown a beat, then assert no
-    # pool workers outlived the call.
-    for _ in range(50):
-        leaked = {
-            p.pid for p in multiprocessing.active_children()
-        } - before
-        if not leaked:
-            break
-        time.sleep(0.1)
-    assert not leaked
-    assert len(result)
-    assert result.info["deadline_interrupted"] is True
-
-
-def test_machine_pooled_deadline_matches_serial_when_unexpired():
-    machine_a = _machine()
-    machine_b = _machine()
-    model = _physical_model(machine_a)
-    serial = machine_a.sample_ising(
-        model, num_reads=8, num_spin_reversal_transforms=2,
-        deadline=Deadline(3600.0),
-    )
-    pooled = machine_b.sample_ising(
-        model, num_reads=8, num_spin_reversal_transforms=2, max_workers=2,
-        deadline=Deadline(3600.0),
-    )
-    assert np.array_equal(serial.records, pooled.records)
 
 
 # ----------------------------------------------------------------------

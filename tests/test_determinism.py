@@ -3,21 +3,14 @@
 Three invariants, per the sparse-kernel acceptance criteria:
 
 1. a fixed seed yields bit-identical SampleSets across runs;
-2. the dense, sparse, and jit sweep kernels are sample-for-sample
-   identical (they share the accept logic and per-sweep RNG draw
-   order; the dense field update only adds exact zeros where the
-   sparse one touches nothing, and the jit tier replays the same
-   staged log-uniform decisions scalar-by-scalar);
-3. ``max_workers > 1`` (process-pool gauge batches / qbsolv reads) is
-   bit-identical to serial, because every seed, gauge, and noise draw
-   happens in the parent RNG before dispatch.
-
-The jit legs run whether or not numba is installed: without it the
-explicit ``kernel="jit"`` request falls back to sparse (with a
-warning), which must still be identical to dense.
+2. the dense and sparse sweep kernels are sample-for-sample identical
+   (they share the accept logic and per-sweep RNG draw order; the
+   dense field update only adds exact zeros where the sparse one
+   touches nothing);
+3. ``max_workers > 1`` (process-pool qbsolv reads / shard rounds) is
+   bit-identical to serial, because every seed is drawn in the parent
+   RNG before dispatch.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -78,18 +71,14 @@ def test_fixed_seed_is_bit_reproducible(name):
 
 
 @pytest.mark.parametrize("name", sorted(SOLVERS))
-@pytest.mark.parametrize("kernel", ["sparse", "jit"])
+@pytest.mark.parametrize("kernel", ["sparse"])
 def test_kernel_tiers_identical(name, kernel):
     run = SOLVERS[name]
     dense = run(42, "dense")
     assert dense.info.get("kernel", "dense") == "dense"
-    with warnings.catch_warnings():
-        # explicit jit without numba warns once before falling back
-        warnings.simplefilter("ignore", RuntimeWarning)
-        other = run(42, kernel)
+    other = run(42, kernel)
     _assert_identical(dense, other)
-    # without numba an explicit jit request reports the sparse fallback
-    assert other.info.get("kernel", kernel) in (kernel, "sparse")
+    assert other.info.get("kernel", kernel) == kernel
 
 
 def test_auto_kernel_selects_sparse_on_embedded_scale_model():
@@ -99,7 +88,7 @@ def test_auto_kernel_selects_sparse_on_embedded_scale_model():
     wide = SimulatedAnnealingSampler(seed=0).sample(
         _sparse_model(), num_reads=8, num_sweeps=5
     )
-    assert wide.info["kernel"] in ("sparse", "jit")
+    assert wide.info["kernel"] == "sparse"
     narrow = SimulatedAnnealingSampler(seed=0).sample(
         _sparse_model(), num_reads=2, num_sweeps=5
     )
@@ -107,7 +96,7 @@ def test_auto_kernel_selects_sparse_on_embedded_scale_model():
 
 
 # ----------------------------------------------------------------------
-# Parallel outer loops: serial vs process pool
+# The machine and the parallel outer loops
 # ----------------------------------------------------------------------
 def _machine_problem():
     props = MachineProperties(cells=4, dropout_fraction=0.0)
@@ -120,29 +109,16 @@ def _machine_problem():
     return props, model
 
 
-@pytest.mark.parametrize("kernel", ["sparse", "jit"])
+@pytest.mark.parametrize("kernel", ["sparse"])
 def test_machine_kernel_tiers_identical(kernel):
     props, model = _machine_problem()
 
     def run(tier):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return DWaveSimulator(properties=props, seed=11).sample_ising(
-                model, num_reads=6, kernel=tier
-            )
+        return DWaveSimulator(properties=props, seed=11).sample_ising(
+            model, num_reads=6, kernel=tier
+        )
 
     _assert_identical(run("dense"), run(kernel))
-
-
-def test_machine_gauge_batches_parallel_identical_to_serial():
-    props, model = _machine_problem()
-    serial = DWaveSimulator(properties=props, seed=11).sample_ising(
-        model, num_reads=12, num_spin_reversal_transforms=4
-    )
-    pooled = DWaveSimulator(properties=props, seed=11).sample_ising(
-        model, num_reads=12, num_spin_reversal_transforms=4, max_workers=2
-    )
-    _assert_identical(serial, pooled)
 
 
 def test_machine_same_seed_reproducible():
@@ -199,20 +175,6 @@ def test_machine_same_seed_reproducible_per_topology(topology, cells):
     )
     _assert_identical(first, second)
     assert first.info["topology"] == second.info["topology"]
-
-
-@pytest.mark.parametrize(
-    "topology,cells", [("pegasus", 3), ("zephyr", 2)]
-)
-def test_machine_parallel_identical_to_serial_per_topology(topology, cells):
-    props, model = _topology_problem(topology, cells)
-    serial = DWaveSimulator(properties=props, seed=11).sample_ising(
-        model, num_reads=12, num_spin_reversal_transforms=4
-    )
-    pooled = DWaveSimulator(properties=props, seed=11).sample_ising(
-        model, num_reads=12, num_spin_reversal_transforms=4, max_workers=2
-    )
-    _assert_identical(serial, pooled)
 
 
 def test_shard_parallel_dispatch_identical_to_serial():

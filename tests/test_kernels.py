@@ -1,6 +1,4 @@
-"""Tests for the CSR export and the shared three-tier sweep kernels."""
-
-import warnings
+"""Tests for the CSR export and the shared two-tier sweep kernels."""
 
 import numpy as np
 import pytest
@@ -89,11 +87,8 @@ def test_csr_arrays_are_readonly():
 def test_choose_kernel_crossover():
     small = kernels.SPARSE_MIN_VARIABLES - 1
     big = kernels.SPARSE_MIN_VARIABLES * 4
-    # The fast sparse-adjacency tier is jit when numba can run, else the
-    # numpy sparse kernel -- the crossover *shape* is tier-independent.
-    fast = kernels.JIT if kernels.jit_available() else kernels.SPARSE
     assert kernels.choose_kernel(small, small * small) == kernels.DENSE
-    assert kernels.choose_kernel(big, 6 * big) == fast
+    assert kernels.choose_kernel(big, 6 * big) == kernels.SPARSE
     # A dense large model stays on the dense kernel.
     assert kernels.choose_kernel(big, big * big // 2) == kernels.DENSE
     # Explicit requests win regardless of size.
@@ -103,12 +98,9 @@ def test_choose_kernel_crossover():
         kernels.choose_kernel(10, 10, kernel="blas")
 
 
-def test_choose_kernel_num_reads_heuristic(monkeypatch):
+def test_choose_kernel_num_reads_heuristic():
     big = kernels.SPARSE_MIN_VARIABLES * 4
     huge = kernels.DENSE_BATCH_CROSSOVER_VARIABLES * 2
-    # Force the no-numba branch so the num_reads arm is reachable.
-    monkeypatch.setitem(kernels._JIT_STATE, "checked", True)
-    monkeypatch.setitem(kernels._JIT_STATE, "module", None)
     narrow = kernels.DENSE_MAX_BATCH_READS
     assert kernels.choose_kernel(big, 6 * big, num_reads=narrow) == kernels.DENSE
     assert (
@@ -122,36 +114,6 @@ def test_choose_kernel_num_reads_heuristic(monkeypatch):
     )
     # Unknown width keeps the width-agnostic behavior.
     assert kernels.choose_kernel(big, 6 * big) == kernels.SPARSE
-
-
-def test_available_kernels_and_jit_probe():
-    tiers = kernels.available_kernels()
-    assert tiers[:2] == (kernels.DENSE, kernels.SPARSE)
-    assert (kernels.JIT in tiers) == kernels.jit_available()
-
-
-def test_no_numba_env_disables_jit(monkeypatch):
-    monkeypatch.setenv("REPRO_NO_NUMBA", "1")
-    monkeypatch.setitem(kernels._JIT_STATE, "checked", False)
-    monkeypatch.setitem(kernels._JIT_STATE, "module", None)
-    try:
-        assert not kernels.jit_available()
-        assert kernels.available_kernels() == (kernels.DENSE, kernels.SPARSE)
-    finally:
-        # The probe is cached process-wide; re-arm it for later tests.
-        kernels._JIT_STATE["checked"] = False
-        kernels._JIT_STATE["module"] = None
-
-
-def test_explicit_jit_without_numba_warns_once_and_falls_back(monkeypatch):
-    monkeypatch.setitem(kernels._JIT_STATE, "checked", True)
-    monkeypatch.setitem(kernels._JIT_STATE, "module", None)
-    monkeypatch.setitem(kernels._JIT_STATE, "warned", False)
-    with pytest.warns(RuntimeWarning, match="requires numba"):
-        assert kernels.choose_kernel(10, 10, kernel="jit") == kernels.SPARSE
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # second request must stay silent
-        assert kernels.choose_kernel(10, 10, kernel="jit") == kernels.SPARSE
 
 
 def test_batched_energies_match_model_energy():
@@ -219,16 +181,14 @@ def _anneal(kernel, model, deadline=None, num_reads=6, num_sweeps=40):
     fields = kernels.init_local_fields(h, indptr, indices, data, spins)
     betas = np.geomspace(0.1, 3.0, num_sweeps)
     stats = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        accepted = kernels.run_metropolis_sweeps(
-            rng, spins, fields, betas, kernel, indptr, indices, data,
-            deadline=deadline, stats=stats,
-        )
+    accepted = kernels.run_metropolis_sweeps(
+        rng, spins, fields, betas, kernel, indptr, indices, data,
+        deadline=deadline, stats=stats,
+    )
     return spins, fields, accepted, stats
 
 
-@pytest.mark.parametrize("kernel", ["sparse", "jit"])
+@pytest.mark.parametrize("kernel", ["sparse"])
 def test_run_metropolis_sweeps_tiers_bitwise_equal(kernel):
     model = _ring_model(70, chords=[(0, 35), (10, 50), (22, 61)])
     spins_d, fields_d, acc_d, _ = _anneal("dense", model)
@@ -238,14 +198,12 @@ def test_run_metropolis_sweeps_tiers_bitwise_equal(kernel):
     assert acc_d == acc_k
 
 
-@pytest.mark.parametrize("kernel", ["dense", "sparse", "jit"])
+@pytest.mark.parametrize("kernel", ["dense", "sparse"])
 def test_run_metropolis_sweeps_deadline_contract(kernel):
     """Every tier stops at the same sweep boundary with the same polls.
 
     The second expired() poll (sweep DEADLINE_SWEEP_BATCH) reports
-    expiry, so exactly one full batch of sweeps completes -- including
-    on the jit tier, whose compiled chunks must not cross the
-    DEADLINE_SWEEP_BATCH boundary.
+    expiry, so exactly one full batch of sweeps completes.
     """
     model = _ring_model(70, chords=[(0, 35)])
     deadline = _ExpireAfter(1)
@@ -261,21 +219,6 @@ def test_run_metropolis_sweeps_deadline_contract(kernel):
         num_sweeps=kernels.DEADLINE_SWEEP_BATCH * 3,
     )
     np.testing.assert_array_equal(spins, ref_spins)
-
-
-def test_jit_chunking_respects_memory_cap(monkeypatch):
-    """A tiny JIT_CHUNK_ELEMENTS forces 1-sweep chunks; results and the
-    deadline poll schedule must not change."""
-    model = _ring_model(70, chords=[(3, 40)])
-    reference, ref_fields, ref_acc, _ = _anneal("dense", model)
-    monkeypatch.setattr(kernels, "JIT_CHUNK_ELEMENTS", 1)
-    deadline = _ExpireAfter(10**9)
-    spins, fields, acc, _ = _anneal("jit", model, deadline=deadline)
-    np.testing.assert_array_equal(spins, reference)
-    np.testing.assert_array_equal(fields, ref_fields)
-    assert acc == ref_acc
-    # Polled once per DEADLINE_SWEEP_BATCH window, as ever (40 sweeps).
-    assert deadline.calls == 3
 
 
 # ----------------------------------------------------------------------

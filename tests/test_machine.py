@@ -51,6 +51,13 @@ def test_rejects_bad_annealing_times(machine):
         machine.sample_ising(model, annealing_time_us=3000.0)  # > 2000 us
 
 
+@pytest.mark.parametrize("num_reads", [0, -3])
+def test_rejects_nonpositive_read_counts(machine, num_reads):
+    model, _, _ = _chain_problem(machine)
+    with pytest.raises(ValueError, match="num_reads must be positive"):
+        machine.sample_ising(model, num_reads=num_reads)
+
+
 # ----------------------------------------------------------------------
 # Sampling
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.qmasm.program import QmasmError
-from repro.qmasm.runner import QmasmRunner, Solution
+from repro.qmasm.runner import QmasmRunner, RunOptions, Solution
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 
 AND_PROGRAM = "!include <stdcell>\n!use_macro AND g\n"
@@ -73,6 +73,23 @@ def test_dwave_solver_embeds_and_runs(runner):
 def test_unknown_solver_rejected(runner):
     with pytest.raises(ValueError):
         runner.run(AND_PROGRAM, solver="oracle")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"num_reads": 0}, "num_reads must be positive"),
+        ({"num_reads": -3}, "num_reads must be positive"),
+        ({"num_sweeps": 0}, "num_sweeps must be positive"),
+        ({"num_sweeps": -3}, "num_sweeps must be positive"),
+    ],
+)
+def test_nonpositive_read_and_sweep_counts_rejected(runner, kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RunOptions(**kwargs)
+    for solver in ("dwave", "sa", "tabu"):
+        with pytest.raises(ValueError, match=message):
+            runner.run(AND_PROGRAM, solver=solver, **kwargs)
 
 
 # ----------------------------------------------------------------------

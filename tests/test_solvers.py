@@ -172,6 +172,14 @@ def test_qbsolv_small_problem_delegates():
     assert found == pytest.approx(truth, abs=1e-9)
 
 
+@pytest.mark.parametrize("size", [20, 60])
+def test_qbsolv_rejects_nonpositive_read_counts(size):
+    # Both the delegating (small) and the decomposing (large) paths.
+    model = _random_model(23, size, density=0.15)
+    with pytest.raises(ValueError, match="num_reads must be positive"):
+        QBSolv(subproblem_size=48, seed=1).sample(model, num_reads=0)
+
+
 def test_qbsolv_decomposes_large_problems():
     """A 60-variable problem with 20-variable subproblems still reaches
     a competitive energy (within a few percent of long-run SA)."""
