@@ -9,12 +9,14 @@ to several times it, recording for each size the shard count, wall time
 (serial vs pooled dispatch), and the stitched incumbent's energy
 against the planted optimum.
 
-Results are persisted to ``BENCH_decompose.json`` at the repo root.
-Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the fleet's chips and the
-problem ladder so CI finishes in seconds; smoke still asserts the
+Results are persisted to ``BENCH_decompose.json`` at the repo root,
+once every check below has passed.  Smoke mode
+(``REPRO_BENCH_SMOKE=1``) shrinks the fleet's chips and the problem
+ladder so CI finishes in seconds and writes the git-ignored
+``BENCH_decompose.smoke.json`` instead; smoke still asserts the
 serial/pooled bit-identity and the quality floor on the largest
-problem, but skips nothing timing-gated -- there is no speedup
-assertion at all, because pool wins depend on core count.
+problem.  There is no speedup assertion at all, because pool wins
+depend on core count.
 
 Reproduce the numbers with::
 
@@ -23,10 +25,7 @@ Reproduce the numbers with::
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -34,7 +33,8 @@ from repro.ising.model import IsingModel
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 from repro.solvers.shard import ShardSolver
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+from _trajectory import SMOKE, write_results
+
 #: The fleet's chip: smoke uses C2 (32 qubits) so the ladder tops out
 #: quickly; the full run uses C4 chips against problems up to ~6x their
 #: logical capacity.
@@ -43,7 +43,6 @@ MACHINES = 4
 #: Problem sizes as multiples of one chip's logical-variable capacity.
 CAPACITY_MULTIPLES = (0.5, 2, 6) if SMOKE else (0.5, 1, 2, 4, 6)
 NUM_READS_PER_SHARD = 8 if SMOKE else 25
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_decompose.json"
 
 C16_QUBITS = 2048
 #: Section 6.1's measured physical-per-logical ratio on Chimera.
@@ -118,7 +117,17 @@ def test_sharded_decomposition_scaling():
             f"gap={rows[-1]['energy_gap']:g}"
         )
 
-    payload = {
+    # Quality floor: the over-capacity problems must stitch down to (or
+    # within a whisker of) the planted optimum -- decomposition that
+    # fans out but cannot land the ground state is not breaking any
+    # ceiling, just burning machines.
+    over_capacity = [r for r in rows if r["capacity_multiple"] >= 2]
+    assert over_capacity, "ladder must exercise the over-capacity regime"
+    assert any(r["reached_ground"] for r in over_capacity)
+    largest = rows[-1]
+    assert largest["energy_gap"] <= abs(largest["planted_energy"]) * 0.02
+
+    write_results("decompose", {
         "benchmark": "decompose_perf",
         "smoke": SMOKE,
         "fleet": {
@@ -131,16 +140,4 @@ def test_sharded_decomposition_scaling():
             "num_reads_per_shard": NUM_READS_PER_SHARD,
         },
         "results": rows,
-    }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
-
-    # Quality floor: the over-capacity problems must stitch down to (or
-    # within a whisker of) the planted optimum -- decomposition that
-    # fans out but cannot land the ground state is not breaking any
-    # ceiling, just burning machines.
-    over_capacity = [r for r in rows if r["capacity_multiple"] >= 2]
-    assert over_capacity, "ladder must exercise the over-capacity regime"
-    assert any(r["reached_ground"] for r in over_capacity)
-    largest = rows[-1]
-    assert largest["energy_gap"] <= abs(largest["planted_energy"]) * 0.02
+    })

@@ -18,9 +18,11 @@ Gates (all scenarios):
 * the stitched energy lands within 2% of the planted optimum.
 
 The crash seed comes from ``REPRO_FAULT_SEED`` (CI runs a matrix of
-them); results are persisted to ``BENCH_fleet.json`` at the repo root.
-Smoke mode (``REPRO_BENCH_SMOKE=1``) shrinks the chips (C2/P2/Z2) and
-the read count so CI finishes in seconds.
+them); once every gate has passed, results are persisted to
+``BENCH_fleet.json`` at the repo root.  Smoke mode
+(``REPRO_BENCH_SMOKE=1``) shrinks the chips (C2/P2/Z2) and the read
+count so CI finishes in seconds, and writes the git-ignored
+``BENCH_fleet.smoke.json`` instead.
 
 Reproduce the numbers with::
 
@@ -29,17 +31,16 @@ Reproduce the numbers with::
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.ising.model import IsingModel
 from repro.solvers.shard import ShardSolver
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+from _trajectory import SMOKE, write_results
+
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "7"))
 SIZE = 2 if SMOKE else 4
 #: Four machines, three topology families: re-dispatch must cope with
@@ -55,7 +56,6 @@ SCENARIOS = (
     ("lost_1", "machine_crash=1:1"),
     ("lost_2", "machine_crash=1:1+2:1"),
 )
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_fleet.json"
 
 
 def _planted_model(n: int, seed: int):
@@ -125,7 +125,20 @@ def test_fleet_chaos_matrix():
             f"gap={rows[-1]['energy_gap']:g}"
         )
 
-    payload = {
+    # Gate 1: losing machines must never lose shards.  Every dispatched
+    # shard completes (on its original machine or a re-dispatch target).
+    for row in rows:
+        assert row["shard_completion"] == 1.0, row
+    # Gate 2: the crash scenarios actually lost the machines they claim.
+    assert [r["machines_lost"] for r in rows] == [0, 1, 2]
+    assert rows[1]["redispatches"] >= 1
+    assert rows[2]["redispatches"] >= 2
+    # Gate 3: quality floor -- degraded fleets still stitch to (or
+    # within a whisker of) the planted optimum.
+    for row in rows:
+        assert row["energy_gap"] <= abs(row["planted_energy"]) * 0.02, row
+
+    write_results("fleet", {
         "benchmark": "fleet_chaos",
         "smoke": SMOKE,
         "fault_seed": FAULT_SEED,
@@ -141,19 +154,4 @@ def test_fleet_chaos_matrix():
             "capacity_multiple": CAPACITY_MULTIPLE,
         },
         "results": rows,
-    }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"wrote {RESULT_PATH}")
-
-    # Gate 1: losing machines must never lose shards.  Every dispatched
-    # shard completes (on its original machine or a re-dispatch target).
-    for row in rows:
-        assert row["shard_completion"] == 1.0, row
-    # Gate 2: the crash scenarios actually lost the machines they claim.
-    assert [r["machines_lost"] for r in rows] == [0, 1, 2]
-    assert rows[1]["redispatches"] >= 1
-    assert rows[2]["redispatches"] >= 2
-    # Gate 3: quality floor -- degraded fleets still stitch to (or
-    # within a whisker of) the planted optimum.
-    for row in rows:
-        assert row["energy_gap"] <= abs(row["planted_energy"]) * 0.02, row
+    })

@@ -1,4 +1,4 @@
-"""Sweep-kernel performance: the two tiers plus batching.
+"""Sweep-kernel performance: the dense and sparse tiers.
 
 The paper's methodology (Section 5.4) amortizes overhead over thousands
 of reads, which only pays if each read is cheap.  This benchmark anneals
@@ -10,22 +10,19 @@ times both kernel tiers:
   all n local-field columns);
 * ``sparse`` -- the CSR neighbor-list kernel (flip cost O(deg)).
 
-A second benchmark times cross-problem batching: 8 small independent
-problems annealed sequentially vs. packed into one
-:class:`~repro.solvers.batch.BatchedSweepJob` invocation.
-
-Results are persisted to ``BENCH_kernels.json`` at the repo root.  The
-committed file doubles as a **regression baseline**: when it holds
-full-scale numbers, the run compares its relative speedups against the
-stored ones with a 20% tolerance band -- a regression beyond the band
-fails the test, while improvements pass and auto-refresh the file (the
-absolute wall times are machine-specific, so only ratios gate).  Both
-tiers' samples are also asserted bit-identical (the exactness
-criterion).
+Both tiers' samples are asserted bit-identical (the exactness
+criterion), and the sparse tier must beat the dense one by at least 5x.
+The committed ``BENCH_kernels.json`` at the repo root is the
+**regression baseline**: a full run compares its sparse-over-dense
+speedup against the stored one with a 20% tolerance band (absolute wall
+times are machine-specific, so only the ratio gates).  The file is
+rewritten only once every gate has passed, so a failing run never moves
+the baseline it is judged against (see ``_trajectory.py``).
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a scaled-down model (C8, 50 reads);
-smoke runs still write the JSON and check exactness but skip every
-timing gate, so CI jitter can never block a merge.
+smoke runs still check exactness but skip every timing gate, so CI
+jitter can never block a merge, and write the git-ignored
+``BENCH_kernels.smoke.json`` instead of the committed file.
 
 Reproduce the numbers with::
 
@@ -34,40 +31,26 @@ Reproduce the numbers with::
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from pathlib import Path
 
 import numpy as np
 
 from repro.core.mapcolor import unary_map_coloring_model
 from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import embed_ising, find_embedding, source_graph_of
-from repro.ising.model import IsingModel
 from repro.solvers import kernels
-from repro.solvers.batch import BatchedSweepJob
 from repro.solvers.neal import SimulatedAnnealingSampler
 
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+from _trajectory import SMOKE, gate_ratio, load_baseline, write_results
+
 # Smoke keeps the same logical problem but embeds into a C8 (a C4 is too
 # small for the 28-variable coloring graph) with a fraction of the reads.
 CELLS = 8 if SMOKE else 16
 NUM_READS = 50 if SMOKE else 1000
 NUM_SWEEPS = 8 if SMOKE else 32
 REPEATS = 1 if SMOKE else 3
-#: Acceptance floors on this machine's own ratios.
-SPARSE_SPEEDUP_FLOOR = 5.0  # sparse vs dense
-BATCH_GAIN_FLOOR = 2.0  # packed vs sequential dispatch
-#: Regression band vs the committed baseline's ratios: a new ratio may
-#: drop to 80% of the stored one before the gate trips.
-REGRESSION_TOLERANCE = 0.20
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_kernels.json"
-
-BATCH_PROBLEMS = 8
-BATCH_VARIABLES = 16 if SMOKE else 48
-BATCH_READS = 10 if SMOKE else 25
-BATCH_SWEEPS = 8 if SMOKE else 64
+#: Acceptance floor on this machine's own sparse-over-dense ratio.
+SPARSE_SPEEDUP_FLOOR = 5.0
 
 
 def _embedded_mapcolor_model():
@@ -94,47 +77,6 @@ def _time_kernel(model, kernel):
     return best, result
 
 
-def _small_problems():
-    """BATCH_PROBLEMS independent ring models, service-traffic sized."""
-    problems = []
-    for p in range(BATCH_PROBLEMS):
-        rng = np.random.default_rng(100 + p)
-        model = IsingModel()
-        n = BATCH_VARIABLES
-        for i in range(n):
-            model.add_variable(i, float(rng.normal(0, 0.5)))
-            model.add_interaction(
-                i, (i + 1) % n, float(rng.choice([-1.0, 1.0]))
-            )
-        problems.append(model)
-    return problems
-
-
-def _load_baseline():
-    """The committed baseline, when it can gate: full-scale, new schema."""
-    if SMOKE or not RESULT_PATH.exists():
-        return None
-    try:
-        baseline = json.loads(RESULT_PATH.read_text())
-    except (OSError, json.JSONDecodeError):
-        return None
-    if baseline.get("smoke") or "tiers" not in baseline:
-        return None
-    return baseline
-
-
-def _gate_ratio(name, new, old):
-    """Fail on a regression beyond the band; improvements always pass."""
-    if old is None or new is None:
-        return
-    floor = old * (1.0 - REGRESSION_TOLERANCE)
-    assert new >= floor, (
-        f"{name} regressed: {new:.2f}x vs committed baseline {old:.2f}x "
-        f"(tolerance floor {floor:.2f}x) -- investigate before refreshing "
-        f"BENCH_kernels.json"
-    )
-
-
 def test_kernel_tiers_speedup_on_embedded_mapcolor():
     logical, physical = _embedded_mapcolor_model()
     order, _, indptr, indices, _ = physical.to_csr()
@@ -158,27 +100,36 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         if timings[kernels.SPARSE] > 0
         else float("inf")
     )
+    print(
+        f"\nkernel_perf: n={n} nnz={nnz} reads={NUM_READS} "
+        f"dense={timings[kernels.DENSE]:.3f}s "
+        f"sparse={timings[kernels.SPARSE]:.3f}s "
+        f"sparse_speedup={sparse_speedup:.1f}x"
+    )
 
-    # --- cross-problem batching ------------------------------------
-    problems = _small_problems()
-    sequential_start = time.perf_counter()
-    for p, model in enumerate(problems):
-        SimulatedAnnealingSampler(seed=100 + p).sample(
-            model, num_reads=BATCH_READS, num_sweeps=BATCH_SWEEPS
+    # The embedded problem must auto-select the sparse tier for wide
+    # read batches.
+    assert kernels.choose_kernel(n, nnz, num_reads=NUM_READS) == kernels.SPARSE
+    if not SMOKE:
+        # Absolute floor on this machine.
+        assert sparse_speedup >= SPARSE_SPEEDUP_FLOOR, (
+            f"sparse kernel speedup {sparse_speedup:.2f}x below the "
+            f"{SPARSE_SPEEDUP_FLOOR}x acceptance floor"
         )
-    sequential_s = time.perf_counter() - sequential_start
-    job = BatchedSweepJob(seed=100)
-    for model in problems:
-        job.add(model, num_reads=BATCH_READS)
-    batched_start = time.perf_counter()
-    job.run(num_sweeps=BATCH_SWEEPS)
-    batched_s = time.perf_counter() - batched_start
-    batch_gain = sequential_s / batched_s if batched_s > 0 else float("inf")
+        # Trajectory gate vs the committed baseline (ratios only --
+        # wall times are machine-specific).
+        baseline = load_baseline("kernels", "tiers")
+        if baseline is not None:
+            gate_ratio(
+                "kernels",
+                "sparse-over-dense speedup",
+                sparse_speedup,
+                baseline.get("speedup_sparse_over_dense"),
+            )
 
-    baseline = _load_baseline()
-    payload = {
+    write_results("kernels", {
         "benchmark": "kernel_perf",
-        "version": 3,
+        "version": 4,
         "smoke": SMOKE,
         "problem": {
             "name": "australia-map-coloring",
@@ -199,53 +150,4 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         "speedup_sparse_over_dense": sparse_speedup,
         "auto_kernel": kernels.choose_kernel(n, nnz, num_reads=NUM_READS),
         "samples_identical": True,
-        "batched": {
-            "problems": BATCH_PROBLEMS,
-            "variables": BATCH_VARIABLES,
-            "num_reads": BATCH_READS,
-            "num_sweeps": BATCH_SWEEPS,
-            "sequential_s": sequential_s,
-            "batched_s": batched_s,
-            "throughput_gain": batch_gain,
-        },
-    }
-    RESULT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-    print(
-        f"\nkernel_perf: n={n} nnz={nnz} reads={NUM_READS} "
-        f"dense={timings[kernels.DENSE]:.3f}s "
-        f"sparse={timings[kernels.SPARSE]:.3f}s "
-        f"sparse_speedup={sparse_speedup:.1f}x "
-        f"batch_gain={batch_gain:.1f}x"
-    )
-
-    # The embedded problem must auto-select the sparse tier for wide
-    # read batches.
-    assert kernels.choose_kernel(n, nnz, num_reads=NUM_READS) == kernels.SPARSE
-    if SMOKE:
-        return
-
-    # Absolute floors on this machine.
-    assert sparse_speedup >= SPARSE_SPEEDUP_FLOOR, (
-        f"sparse kernel speedup {sparse_speedup:.2f}x below the "
-        f"{SPARSE_SPEEDUP_FLOOR}x acceptance floor"
-    )
-    assert batch_gain >= BATCH_GAIN_FLOOR, (
-        f"batched throughput gain {batch_gain:.2f}x below the "
-        f"{BATCH_GAIN_FLOOR}x acceptance floor "
-        f"(sequential {sequential_s:.3f}s, batched {batched_s:.3f}s)"
-    )
-
-    # Trajectory gate vs the committed baseline (ratios only -- wall
-    # times are machine-specific).  Improvements refreshed the file
-    # above; regressions beyond the band fail here.
-    if baseline is not None:
-        _gate_ratio(
-            "sparse-over-dense speedup",
-            sparse_speedup,
-            baseline.get("speedup_sparse_over_dense"),
-        )
-        _gate_ratio(
-            "batched throughput gain",
-            batch_gain,
-            (baseline.get("batched") or {}).get("throughput_gain"),
-        )
+    })

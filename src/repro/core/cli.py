@@ -201,14 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--batch-shards",
-        action="store_true",
-        help=(
-            "pack each --solver shard round's subproblems into one "
-            "cross-problem kernel invocation"
-        ),
-    )
-    parser.add_argument(
         "--anneal-time", type=float, default=20.0, help="anneal time in us"
     )
     parser.add_argument("--seed", type=int, help="RNG seed for reproducibility")
@@ -319,7 +311,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return serve_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
     # Bad counts are usage errors: one line, before any compiling.
-    counts = (("--num-reads", args.reads), ("--num-sweeps", args.num_sweeps))
+    counts = (
+        ("--num-reads", args.reads),
+        ("--num-sweeps", args.num_sweeps),
+        ("--retries", args.retries),
+        ("--machines", args.machines),
+        ("--topology-size", args.topology_size),
+        ("--workers", args.workers),
+    )
     for flag, value in counts:
         if value is not None and value < 1:
             print(
@@ -462,7 +461,6 @@ def _run_command(args: argparse.Namespace) -> int:
             num_reads=args.reads,
             num_sweeps=args.num_sweeps,
             max_workers=args.workers,
-            batch_shards=args.batch_shards,
             annealing_time_us=args.anneal_time,
             use_roof_duality=args.roof_duality,
             retry_policy=policy,

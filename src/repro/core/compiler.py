@@ -46,7 +46,6 @@ from repro.core.pipeline import (
     PipelineContext,
     PipelineStats,
     Stage,
-    TraceCallback,
 )
 from repro.edif.writer import write_edif
 from repro.edif.reader import read_edif
@@ -319,8 +318,6 @@ class VerilogAnnealerCompiler:
             :class:`CompilationCache` instance is used directly.
         cache_dir: optional directory for an on-disk cache tier shared
             across processes.
-        trace: optional callback receiving per-stage begin/end trace
-            events from both compilation and execution pipelines.
         machines: simulated fleet size for the ``"shard"`` solver.
         fleet: heterogeneous fleet spec for the ``"shard"`` solver
             (``"C16,P8,Z6"``); overrides ``machines``.
@@ -335,14 +332,12 @@ class VerilogAnnealerCompiler:
         seed: Optional[int] = None,
         cache: Union[bool, CompilationCache] = True,
         cache_dir: Optional[str] = None,
-        trace: Optional[TraceCallback] = None,
         machines: int = 4,
         fleet: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
         resume: bool = False,
     ):
         self.seed = seed
-        self.trace = trace
         if isinstance(cache, CompilationCache):
             self.compile_cache = cache
             cache_enabled = cache.enabled
@@ -357,7 +352,6 @@ class VerilogAnnealerCompiler:
             embedding_cache=EmbeddingCache(
                 cache_dir=cache_dir, enabled=cache_enabled
             ),
-            trace=trace,
             machines=machines,
             fleet=fleet,
             checkpoint_dir=checkpoint_dir,
@@ -399,9 +393,7 @@ class VerilogAnnealerCompiler:
                 span.set_attributes(cached=True)
                 return cached
 
-            context = PipelineContext(
-                options=options, seed=self.seed, trace=self.trace
-            )
+            context = PipelineContext(options=options, seed=self.seed)
             artifact = PassManager(self.compile_stages, name="compile").run(
                 CompileArtifact(source=verilog_source), context
             )

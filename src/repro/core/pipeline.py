@@ -13,7 +13,7 @@ The payoff is threefold:
 
 * **observability** -- ``CompiledProgram.stats`` and ``RunResult.stats``
   expose a per-stage timing/size table (``--time-passes`` on the CLI),
-  plus an optional trace-event callback for external profilers;
+  and every stage runs inside a trace span for external profilers;
 * **configurability** -- drivers hold plain stage lists that callers can
   reorder, extend, or replace;
 * **cacheability** -- stages can consult the content-addressed caches in
@@ -31,12 +31,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 from repro.core import trace as _trace
 from repro.core.deadline import Deadline
 from repro.core.trace import MetricsRegistry
-
-#: A trace event is a plain dict: ``{"stage": name, "event": "begin"}``
-#: or ``{"stage": name, "event": "end", "wall_time_s": float,
-#: "cached": bool, "skipped": bool, "counters": {...}}``.
-TraceCallback = Callable[[Dict[str, Any]], None]
-
 
 @dataclass
 class StageRecord:
@@ -164,7 +158,6 @@ class PipelineContext:
             process registry, so every increment is visible both on this
             run's result and in the process-wide summary without ever
             being computed twice.
-        trace: optional callback receiving begin/end trace events.
         deadline: optional :class:`~repro.core.deadline.Deadline` the
             :class:`PassManager` enforces between stages (and stages
             may thread into their samplers for cooperative
@@ -178,14 +171,12 @@ class PipelineContext:
         self,
         options: Any = None,
         seed: Optional[int] = None,
-        trace: Optional[TraceCallback] = None,
         stats: Optional[PipelineStats] = None,
         metrics: Optional[MetricsRegistry] = None,
         deadline: Optional[Deadline] = None,
     ):
         self.options = options
         self.seed = seed
-        self.trace = trace
         self.deadline = deadline
         self.stats = stats if stats is not None else PipelineStats()
         self.metrics = (
@@ -210,10 +201,6 @@ class PipelineContext:
     def _begin_stage(self) -> None:
         self._cached = False
         self._extra_counters = {}
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        if self.trace is not None:
-            self.trace(event)
 
 
 class Stage:
@@ -308,22 +295,12 @@ class PassManager:
                     )
                 if policy == "skip":
                     context.metrics.counter("deadline.stages_skipped").inc()
-                    record = StageRecord(name=stage.name, skipped=True)
-                    context.stats.record(record)
-                    context.emit(
-                        {
-                            "stage": stage.name,
-                            "event": "end",
-                            "wall_time_s": 0.0,
-                            "cached": False,
-                            "skipped": True,
-                            "counters": {},
-                        }
+                    context.stats.record(
+                        StageRecord(name=stage.name, skipped=True)
                     )
                     continue
                 # policy == "run": proceed as normal.
             context._begin_stage()
-            context.emit({"stage": stage.name, "event": "begin"})
             with _trace.span(prefix + stage.name) as span:
                 start = time.perf_counter()
                 skipped = stage.skip(artifact, context)
@@ -337,22 +314,13 @@ class PassManager:
                 span.set_attributes(
                     cached=context._cached, skipped=skipped, **counters
                 )
-            record = StageRecord(
-                name=stage.name,
-                wall_time_s=elapsed,
-                counters=counters,
-                cached=context._cached,
-                skipped=skipped,
-            )
-            context.stats.record(record)
-            context.emit(
-                {
-                    "stage": stage.name,
-                    "event": "end",
-                    "wall_time_s": elapsed,
-                    "cached": record.cached,
-                    "skipped": record.skipped,
-                    "counters": dict(counters),
-                }
+            context.stats.record(
+                StageRecord(
+                    name=stage.name,
+                    wall_time_s=elapsed,
+                    counters=counters,
+                    cached=context._cached,
+                    skipped=skipped,
+                )
             )
         return artifact

@@ -47,7 +47,6 @@ from repro.core.pipeline import (
     PipelineContext,
     PipelineStats,
     Stage,
-    TraceCallback,
 )
 from repro.core.trace import MetricsRegistry, Span
 from repro.hardware.embedding import (
@@ -325,8 +324,6 @@ class RunOptions:
     #: serially.  Results are bit-identical either way -- seeds are
     #: split deterministically from the parent RNG.
     max_workers: Optional[int] = None
-    #: Pack each shard round's subproblems into one kernel invocation.
-    batch_shards: bool = False
     annealing_time_us: float = 20.0
     chain_strength: Optional[float] = None
     pin_strength: Optional[float] = None
@@ -1140,7 +1137,6 @@ class QmasmRunner:
         embedding_cache: cache for minor embeddings; defaults to a fresh
             in-memory :class:`EmbeddingCache`.  Pass one with
             ``enabled=False`` to always re-embed.
-        trace: optional per-stage trace-event callback.
         machines: simulated fleet size for the ``"shard"`` solver (how
             many chips sharded subproblems are dispatched across).
         fleet: optional heterogeneous fleet spec for the ``"shard"``
@@ -1158,7 +1154,6 @@ class QmasmRunner:
         machine: Optional[DWaveSimulator] = None,
         seed: Optional[int] = None,
         embedding_cache: Optional[EmbeddingCache] = None,
-        trace: Optional[TraceCallback] = None,
         machines: int = 4,
         fleet: Optional[str] = None,
         checkpoint_dir: Optional[str] = None,
@@ -1166,7 +1161,6 @@ class QmasmRunner:
     ):
         self.machine = machine
         self.seed = seed
-        self.trace = trace
         self.machines = machines
         self.fleet = fleet
         self.checkpoint_dir = checkpoint_dir
@@ -1254,11 +1248,10 @@ class QmasmRunner:
     ) -> SampleSet:
         """One classical tier: the logical model on a software solver.
 
-        Reads ``num_reads``, ``num_sweeps``, ``max_workers`` and
-        ``batch_shards`` from ``options``.  ``seed_offset`` perturbs the
-        sampler seed deterministically -- repair re-sample rounds must
-        draw *fresh* reads, not replay the round that produced the
-        uncertified ones.
+        Reads ``num_reads``, ``num_sweeps`` and ``max_workers`` from
+        ``options``.  ``seed_offset`` perturbs the sampler seed
+        deterministically -- repair re-sample rounds must draw *fresh*
+        reads, not replay the round that produced the uncertified ones.
         """
         seed = self.seed
         if seed is not None and seed_offset:
@@ -1307,7 +1300,6 @@ class QmasmRunner:
                 faults=injector.spec if injector is not None else None,
                 checkpoint=self.checkpoint_dir,
                 resume=self.resume,
-                batch_rounds=options.batch_shards,
             ).sample(
                 model, num_reads=min(num_reads, 5), deadline=deadline
             )
@@ -1380,7 +1372,6 @@ class QmasmRunner:
         num_reads: int = 100,
         num_sweeps: Optional[int] = None,
         max_workers: Optional[int] = None,
-        batch_shards: bool = False,
         annealing_time_us: float = 20.0,
         chain_strength: Optional[float] = None,
         pin_strength: Optional[float] = None,
@@ -1417,10 +1408,6 @@ class QmasmRunner:
                 The dwave tier derives sweeps from ``annealing_time_us``.
             max_workers: process-pool size for qbsolv reads and shard
                 rounds; results are bit-identical to serial runs.
-            batch_shards: pack each shard round's embedded subproblems
-                into one cross-problem kernel invocation.  Deterministic
-                under a fixed seed, but the shared RNG stream means
-                samples differ from the unbatched schedule.
             annealing_time_us: per-anneal time for the dwave solver.
             chain_strength / pin_strength: see
                 :meth:`LogicalProgram.to_ising`.
@@ -1469,7 +1456,6 @@ class QmasmRunner:
             num_reads=num_reads,
             num_sweeps=num_sweeps,
             max_workers=max_workers,
-            batch_shards=batch_shards,
             annealing_time_us=annealing_time_us,
             chain_strength=chain_strength,
             pin_strength=pin_strength,
@@ -1496,7 +1482,6 @@ class QmasmRunner:
         context = PipelineContext(
             options=options,
             seed=self.seed,
-            trace=self.trace,
             deadline=run_deadline,
         )
         artifact = RunArtifact(

@@ -33,7 +33,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.core.cache import CompilationCache, EmbeddingCache, stable_hash
@@ -62,8 +62,10 @@ _JOB_PATH_RE = re.compile(r"^/jobs/([A-Za-z0-9_\-]+)(/trace)?$")
 #: Chaos-testing hook: when set to a pipeline stage name (``elaborate``,
 #: ``find_embedding``, ``sample``, ...), the worker hard-exits the
 #: process (``os._exit(137)``, indistinguishable from a SIGKILL) the
-#: moment that stage begins.  The recovery kill-matrix tests use it to
-#: crash the service deterministically at each pipeline stage.
+#: moment that stage begins, even for a stage that would then skip
+#: itself (``find_embedding`` under ``sa``).  The recovery kill-matrix
+#: tests use it to crash the service deterministically at each pipeline
+#: stage.
 CRASH_STAGE_ENV = "REPRO_SERVICE_CRASH_STAGE"
 
 #: Submission cap on Idempotency-Key length.
@@ -77,16 +79,9 @@ def _payload_fingerprint(payload: Any) -> str:
     )
 
 
-def _crash_stage_hook() -> Optional[Callable[[Dict[str, Any]], None]]:
-    stage = os.environ.get(CRASH_STAGE_ENV)
-    if not stage:
-        return None
-
-    def hook(event: Dict[str, Any]) -> None:
-        if event.get("event") == "begin" and event.get("stage") == stage:
-            os._exit(137)
-
-    return hook
+def _crash(artifact: Any, context: Any) -> bool:
+    """A stage's ``skip`` under the crash hook: the stage's first call."""
+    os._exit(137)
 
 
 @dataclass
@@ -152,7 +147,7 @@ class AnnealingService:
             OrderedDict()
         )
         self._idempotency_lock = threading.Lock()
-        self._crash_hook = _crash_stage_hook()
+        self._crash_stage = os.environ.get(CRASH_STAGE_ENV) or None
         self.metrics = MetricsRegistry()
         self._metrics_lock = threading.Lock()
         self._cache_sync: Dict[str, float] = {}
@@ -467,9 +462,14 @@ class AnnealingService:
             seed=request.seed,
             cache=self.compile_cache,
             machines=self.config.machines,
-            trace=self._crash_hook,
         )
         compiler.runner.embedding_cache = self.embedding_cache
+        if self._crash_stage is not None:
+            # Stage lists belong to this job's compiler, so the hook
+            # never leaks into another job's pipeline.
+            for stage in (*compiler.compile_stages, *compiler.runner.run_stages):
+                if stage.name == self._crash_stage:
+                    stage.skip = _crash
         return compiler
 
     def _run_request(

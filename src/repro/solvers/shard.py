@@ -19,9 +19,8 @@ many chips to throw at the pieces.  This module combines both ideas:
    *healthy* machines in a process pool.  Every stochastic input -- the
    per-shard machine-noise/anneal seeds, drawn from the parent RNG
    serially before dispatch -- is baked into the job tuple, so pooled
-   results are bit-identical to a serial run, exactly like the gauge
-   batches in :mod:`repro.solvers.machine`.  Seeds belong to *shards*,
-   not machines: when a machine crashes or flakes mid-round
+   results are bit-identical to a serial run.  Seeds belong to
+   *shards*, not machines: when a machine crashes or flakes mid-round
    (:class:`~repro.solvers.fleet.MachineFaultPlan`), the orphaned shard
    is re-dispatched -- same seed, same job -- to the next healthy
    machine, so within a machine class the answer cannot change.
@@ -199,16 +198,6 @@ class ShardSolver:
             clauses drive the deterministic fault plan.
         health_policy: quarantine thresholds
             (:class:`~repro.solvers.fleet.HealthPolicy`).
-        batch_rounds: pack each round's embedded shards into one
-            :class:`~repro.solvers.batch.BatchedSweepJob` kernel
-            invocation instead of one machine call (or pool worker) per
-            shard.  All programming randomness (per-shard machine noise
-            and core seeds) is still drawn from the pre-assigned shard
-            seeds, so the *programmed* physical models match unbatched
-            dispatch exactly; the packed anneal shares one RNG stream,
-            so results are deterministic given the solver seed but not
-            sample-identical to unbatched runs.  Health accounting,
-            fault plans, and fallback shards behave as before.
         checkpoint: a :class:`~repro.core.cache.CheckpointCache` (or a
             directory path for one) to persist per-round state through;
             ``None`` disables checkpointing.
@@ -233,7 +222,6 @@ class ShardSolver:
         health_policy: Optional[HealthPolicy] = None,
         checkpoint: Union[CheckpointCache, str, None] = None,
         resume: bool = False,
-        batch_rounds: bool = False,
     ):
         if fleet is None and machines < 1:
             raise ValueError("machines must be >= 1")
@@ -268,7 +256,6 @@ class ShardSolver:
             raise ValueError("shard_size must be >= 1")
         self.num_reads_per_shard = num_reads_per_shard
         self.annealing_time_us = annealing_time_us
-        self.batch_rounds = bool(batch_rounds)
         self.max_rounds = max_rounds
         self.patience = patience
         self.embedding_seed = embedding_seed
@@ -632,9 +619,7 @@ class ShardSolver:
             ))
         self._shards_dispatched += count
         pool_width = min(workers, self.machines, len(jobs))
-        if self.batch_rounds and len(jobs) > 1:
-            results = self._solve_round_batched(jobs)
-        elif pool_width > 1 and len(jobs) > 1:
+        if pool_width > 1 and len(jobs) > 1:
             with ProcessPoolExecutor(max_workers=pool_width) as pool:
                 results = list(pool.map(_solve_shard, jobs))
         else:
@@ -667,94 +652,6 @@ class ShardSolver:
             metrics.counter(f"machine.{machine.index}.samples").inc()
         fleet.check_quarantines()
         return results
-
-    def _solve_round_batched(
-        self, jobs: List[Tuple]
-    ) -> List[Tuple[Dict, float, float, int, bool, float]]:
-        """Solve one round's shards in a single packed kernel invocation.
-
-        Mirrors :func:`_solve_shard`'s programming sequence per shard --
-        re-seed the machine RNG from the shard seed, embed, scale to
-        hardware, apply control noise, draw the core seed -- so the
-        programmed physical models are bit-identical to unbatched
-        dispatch; only the anneal itself is shared.  Shards whose
-        embedded sweep counts differ (heterogeneous ``sweeps_per_us``)
-        are grouped into one packed job per sweep count; fallback shards
-        (no embedding) run individually on the tabu path as usual.
-        """
-        from repro.solvers.batch import BatchedSweepJob
-
-        start = time.perf_counter()
-        results: List[Optional[Tuple]] = [None] * len(jobs)
-        # (num_sweeps) -> list of prepared embedded shards.
-        groups: Dict[int, List[Tuple]] = {}
-        for index, job in enumerate(jobs):
-            props, embedding, sub, reads, anneal_us, seed, budget = job
-            if embedding is None:
-                results[index] = _solve_shard(job)
-                continue
-            machine = _fleet_machine(props)
-            machine._rng = np.random.default_rng(seed)
-            physical = embed_ising(sub, embedding, machine.working_graph)
-            scaled, _ = scale_to_hardware(physical)
-            programmed = machine._apply_control_noise(scaled)
-            core_seed = int(machine._rng.integers(0, 2**63))
-            num_sweeps = max(8, int(anneal_us * props.sweeps_per_us))
-            groups.setdefault(num_sweeps, []).append(
-                (index, embedding, sub, scaled, programmed, core_seed,
-                 reads, seed, budget)
-            )
-        for num_sweeps, entries in groups.items():
-            batch = BatchedSweepJob(seed=entries[0][5])
-            for (_i, _emb, _sub, _scaled, programmed, _cs, reads,
-                 _seed, _budget) in entries:
-                batch.add(programmed, num_reads=reads)
-            budget = next(
-                (e[8] for e in entries if e[8] is not None), None
-            )
-            deadline = budget.start() if budget is not None else None
-            rawsets = batch.run(num_sweeps=num_sweeps, deadline=deadline)
-            for (index, embedding, sub, scaled, _prog, _cs, reads,
-                 seed, _budget), raw in zip(entries, rawsets):
-                # Energies must be re-reported against the clean scaled
-                # model, not the noisy one the batch annealed -- same
-                # contract as DWaveSimulator.sample_ising.
-                clean = SampleSet.from_array(
-                    list(raw.variables), raw.records, scaled,
-                    info=dict(raw.info),
-                )
-                logical = unembed_sampleset(clean, embedding, sub)
-                chain_breaks = float(
-                    logical.info.get("chain_break_fraction", 0.0)
-                )
-                logical = SteepestDescentSolver(seed=seed).polish(
-                    logical, sub
-                )
-                best = logical.first
-                interrupted = bool(
-                    raw.info.get("deadline_interrupted", False)
-                )
-                results[index] = (
-                    dict(best.assignment), float(best.energy), 0.0,
-                    reads, interrupted, chain_breaks,
-                )
-        # Wall time is shared: attribute an equal share to each shard so
-        # health/observability accounting stays per-shard shaped.
-        elapsed_share = (time.perf_counter() - start) / max(1, len(jobs))
-        finished = []
-        for index, result in enumerate(results):
-            assignment, energy, elapsed, reads, interrupted, cb = result
-            finished.append(
-                (assignment, energy, elapsed or elapsed_share, reads,
-                 interrupted, cb)
-            )
-        _trace.event(
-            "shard.batched_round",
-            shards=len(jobs),
-            packed=sum(len(e) for e in groups.values()),
-        )
-        _trace.metrics().counter("shard.batched_rounds").inc()
-        return finished
 
     def _pick_machine(
         self,
@@ -832,11 +729,6 @@ class ShardSolver:
             f"seed:{self._seed!r}",
             f"embedding_seed:{self.embedding_seed}",
             f"num_reads:{num_reads}",
-            # Batched rounds consume RNG differently, so their
-            # checkpoints must never resume an unbatched run (and vice
-            # versa).  Appended only when enabled so fingerprints of
-            # existing unbatched checkpoints stay valid.
-            *(["batch_rounds:1"] if self.batch_rounds else []),
         )
 
     def _save_checkpoint(

@@ -103,6 +103,10 @@ def test_missing_source_exits_2_with_one_line(tmp_path, capsys):
         ("sa", "--num-sweeps", "-3", "--num-sweeps"),
         ("sqa", "--num-sweeps", "-3", "--num-sweeps"),
         ("tabu", "--num-sweeps", "-3", "--num-sweeps"),
+        ("dwave", "--retries", "0", "--retries"),
+        ("shard", "--machines", "0", "--machines"),
+        ("dwave", "--topology-size", "0", "--topology-size"),
+        ("qbsolv", "--workers", "0", "--workers"),
     ],
 )
 def test_nonpositive_reads_or_sweeps_exit_2_before_compiling(

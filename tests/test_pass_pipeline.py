@@ -2,8 +2,8 @@
 
 Covers stage ordering, per-stage stats population on both the compile
 and run pipelines, compilation-cache hit/miss/invalidation behavior,
-embedding-cache reuse across runs of the same compiled program, the
-trace-event callback, and the new CLI flags.
+embedding-cache reuse across runs of the same compiled program, and
+the CLI flags.
 """
 
 import os
@@ -113,23 +113,6 @@ def test_pass_manager_records_counters_and_times():
     assert record.wall_time_s >= 0.0
     with pytest.raises(KeyError):
         context.stats["missing"]
-
-
-def test_trace_callback_sees_begin_and_end_events():
-    events = []
-    context = PipelineContext(trace=events.append)
-    PassManager([_Doubler(), _SkipMe()]).run(1, context)
-    kinds = [(e["stage"], e["event"]) for e in events]
-    assert kinds == [
-        ("double", "begin"),
-        ("double", "end"),
-        ("skipped_stage", "begin"),
-        ("skipped_stage", "end"),
-    ]
-    end = events[1]
-    assert end["counters"] == {"value": 2}
-    assert end["skipped"] is False
-    assert events[3]["skipped"] is True
 
 
 def test_stats_format_table_lists_every_stage():

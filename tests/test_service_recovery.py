@@ -408,6 +408,65 @@ class TestIdempotencyRecovery:
 
 
 # ----------------------------------------------------------------------
+# The crash hook the kill matrix drives, checked in-process.
+# ----------------------------------------------------------------------
+AND_GATE = """
+module and2 (a, b, y);
+   input a, b;
+   output y;
+   assign y = a & b;
+endmodule
+"""
+
+
+class _Exited(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    "stage, pipeline",
+    [
+        ("elaborate", "compile"),
+        # Skipped under ``sa``, yet the process still dies as it begins.
+        ("find_embedding", "run"),
+        ("sample", "run"),
+    ],
+)
+def test_crash_hook_exits_as_the_named_stage_begins(monkeypatch, stage, pipeline):
+    from repro.core import trace as _trace
+
+    codes = []
+
+    def fake_exit(code):
+        codes.append(code)
+        raise _Exited(code)
+
+    monkeypatch.setattr(os, "_exit", fake_exit)
+    monkeypatch.setenv(CRASH_STAGE_ENV, stage)
+    config = ServiceConfig(port=0, workers=1, rate_limit_per_s=None)
+    service = AnnealingService(config)
+    request = JobRequest.from_payload(
+        {"source": AND_GATE, "solver": "sa", "num_reads": 4, "seed": 3}
+    )
+    with _trace.capture(_trace.Tracer()) as (tracer, _metrics):
+        with pytest.raises(_Exited):
+            service._run_request(request, None)
+    assert codes == [137]
+    stages = [
+        name for name in tracer.span_names()
+        if name.split(".")[0] in ("compile", "run") and "." in name
+    ]
+    # The named stage is the last one begun, and its body never ran.
+    assert stages[-1] == f"{pipeline}.{stage}"
+    assert not tracer.find("solver.sa.sample")
+    # The hook lives on that job's stage instances only: a service
+    # started without it runs the same job to the end.
+    monkeypatch.delenv(CRASH_STAGE_ENV)
+    result, _warm, _stages = AnnealingService(config)._run_request(request, None)
+    assert result.solutions
+
+
+# ----------------------------------------------------------------------
 # The kill matrix: a real server process killed at each pipeline stage.
 # ----------------------------------------------------------------------
 _LISTEN_RE = re.compile(r"listening on (http://\S+)")
