@@ -9,7 +9,6 @@ network across the legal annealing-time range.
 
 import numpy as np
 
-from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import (
     embed_ising,
     find_embedding,

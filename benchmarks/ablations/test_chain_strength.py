@@ -8,7 +8,6 @@ chain-break fraction and ground-state rate on an embedded gate network.
 """
 
 import numpy as np
-import pytest
 
 from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import (

@@ -13,9 +13,7 @@ import numpy as np
 from repro.ising.cells import CELL_LIBRARY
 from repro.ising.penalty import synthesize_penalty, truth_table_of
 from repro.solvers.machine import DWaveSimulator, MachineProperties
-from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import embed_ising, find_embedding, source_graph_of, unembed_sampleset
-from repro.hardware.scaling import scale_to_hardware
 
 
 def _small_gap_and():

@@ -7,8 +7,6 @@ qubits as the factoring multiplier widens, and where the C16 budget
 runs out.
 """
 
-import pytest
-
 from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import find_embedding, source_graph_of
 

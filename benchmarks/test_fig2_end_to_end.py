@@ -15,7 +15,6 @@ import pytest
 from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import embed_ising, find_embedding, source_graph_of
 from repro.hardware.scaling import check_ranges, scale_to_hardware
-from repro.solvers.exact import ExactSolver
 
 from benchmarks.conftest import FIGURE_2A
 

@@ -6,8 +6,6 @@ linearly in T, and validates forward/backward execution of the unrolled
 program.
 """
 
-import pytest
-
 from benchmarks.conftest import LISTING_3_COUNTER
 
 

@@ -6,8 +6,6 @@ because annealing samples the solution space, repeated reads return many
 deterministic classical solver.
 """
 
-import pytest
-
 from benchmarks.conftest import (
     AUSTRALIA_REGIONS,
     coloring_is_valid,

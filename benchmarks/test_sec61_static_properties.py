@@ -25,8 +25,6 @@ Set REPRO_BENCH_EMBEDDINGS to change the number of embeddings sampled
 import os
 import statistics
 
-import pytest
-
 from repro.core.mapcolor import unary_map_coloring_model
 from repro.hardware.chimera import chimera_graph
 from repro.hardware.embedding import embed_ising, find_embedding, source_graph_of

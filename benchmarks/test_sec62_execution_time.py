@@ -22,10 +22,6 @@ other; the CSP solver is deterministic; the annealer samples many
 distinct colorings.
 """
 
-import time
-
-import pytest
-
 from repro.solvers.csp import CSPSolver, parse_minizinc
 
 from benchmarks.conftest import (

@@ -10,7 +10,6 @@ solvable ones.
 import itertools
 
 from repro.ising.penalty import (
-    PenaltySynthesisError,
     _solve_system,
     synthesize_penalty,
     truth_table_of,

@@ -74,6 +74,7 @@ from typing import List, Optional
 
 from repro.core.compiler import CompileOptions, VerilogAnnealerCompiler
 from repro.core.faults import parse_fault_spec
+from repro.solvers.machine import MachineProperties
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -310,7 +311,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return serve_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    # Bad counts are usage errors: one line, before any compiling.
+    # Bad counts, deadlines and anneal times are usage errors: one line,
+    # before any compiling.
     counts = (
         ("--num-reads", args.reads),
         ("--num-sweeps", args.num_sweeps),
@@ -326,6 +328,21 @@ def main(argv: Optional[List[str]] = None) -> int:
                 file=sys.stderr,
             )
             return 2
+    if args.deadline is not None and not args.deadline > 0:
+        print(
+            f"error: --deadline must be positive, got {args.deadline:g}",
+            file=sys.stderr,
+        )
+        return 2
+    low = MachineProperties.min_annealing_time_us
+    high = MachineProperties.max_annealing_time_us
+    if not low <= args.anneal_time <= high:
+        print(
+            f"error: --anneal-time must lie within [{low:g}, {high:g}] us, "
+            f"got {args.anneal_time:g}",
+            file=sys.stderr,
+        )
+        return 2
 
     from repro.core import trace as _trace
 
@@ -366,7 +383,7 @@ def _run_command(args: argparse.Namespace) -> int:
             print(f"error: --inject-fault: {exc}", file=sys.stderr)
             return 1
     if spec is not None or args.topology != "chimera" or args.topology_size:
-        from repro.solvers.machine import DWaveSimulator, MachineProperties
+        from repro.solvers.machine import DWaveSimulator
 
         props = MachineProperties(topology=args.topology)
         if args.topology_size:
@@ -416,9 +433,7 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if not args.run:
         if args.time_passes:
-            from repro.core.report import format_pass_table
-
-            print(format_pass_table(program.stats, title="compile passes:"))
+            print(program.stats.format_table(title="compile passes:"))
         if args.stats or args.time_passes:
             return 0
         if args.emit == "qmasm":
@@ -496,12 +511,10 @@ def _run_command(args: argparse.Namespace) -> int:
     if args.stats and requested is not None:
         print(format_read_counts(result))
     if args.time_passes:
-        from repro.core.report import format_pass_table
-
         print()
-        print(format_pass_table(program.stats, title="compile passes:"))
+        print(program.stats.format_table(title="compile passes:"))
         print()
-        print(format_pass_table(result.stats, title="run passes:"))
+        print(result.stats.format_table(title="run passes:"))
     if certify and result.certificate is not None:
         print(f"certificate: {result.certificate.summary()}")
         if not result.certificate.ok:

@@ -318,12 +318,9 @@ class VerilogAnnealerCompiler:
             :class:`CompilationCache` instance is used directly.
         cache_dir: optional directory for an on-disk cache tier shared
             across processes.
-        machines: simulated fleet size for the ``"shard"`` solver.
-        fleet: heterogeneous fleet spec for the ``"shard"`` solver
-            (``"C16,P8,Z6"``); overrides ``machines``.
-        checkpoint_dir: directory the shard solver checkpoints into
-            after every stitch round (``--resume`` continues from it).
-        resume: resume shard solves from a matching checkpoint.
+        **runner_options: the shard solver's fleet and checkpoint
+            settings (``machines``, ``fleet``, ``checkpoint_dir``,
+            ``resume``), passed on to :class:`QmasmRunner`.
     """
 
     def __init__(
@@ -332,10 +329,7 @@ class VerilogAnnealerCompiler:
         seed: Optional[int] = None,
         cache: Union[bool, CompilationCache] = True,
         cache_dir: Optional[str] = None,
-        machines: int = 4,
-        fleet: Optional[str] = None,
-        checkpoint_dir: Optional[str] = None,
-        resume: bool = False,
+        **runner_options,
     ):
         self.seed = seed
         if isinstance(cache, CompilationCache):
@@ -352,10 +346,7 @@ class VerilogAnnealerCompiler:
             embedding_cache=EmbeddingCache(
                 cache_dir=cache_dir, enabled=cache_enabled
             ),
-            machines=machines,
-            fleet=fleet,
-            checkpoint_dir=checkpoint_dir,
-            resume=resume,
+            **runner_options,
         )
         #: The lowering pipeline; callers may reorder/extend/replace.
         self.compile_stages: List[Stage] = default_compile_stages()
@@ -417,10 +408,9 @@ class VerilogAnnealerCompiler:
         self,
         program: Union[str, CompiledProgram],
         pins: Sequence[str] = (),
-        solver: str = "dwave",
-        num_reads: int = 100,
+        *,
         compile_options: Optional[CompileOptions] = None,
-        **runner_kwargs,
+        **options,
     ) -> RunResult:
         """Execute a compiled program (compiling first if given source).
 
@@ -429,7 +419,9 @@ class VerilogAnnealerCompiler:
         ``program`` is raw Verilog source, ``compile_options`` controls
         the implied compilation (e.g.
         ``run(src, compile_options=CompileOptions(unroll_steps=4))``);
-        it is rejected for already-compiled programs.
+        it is rejected for already-compiled programs.  Every other
+        keyword goes to :meth:`QmasmRunner.run`: ``deadline`` and the
+        :class:`~repro.qmasm.runner.RunOptions` fields.
 
         The compiled gate-level netlist rides along into the runner, so
         ``certify=True`` runs replay every cell's truth table against
@@ -447,16 +439,10 @@ class VerilogAnnealerCompiler:
         # generated from (the EDIF round-trip renumbers internal nets,
         # so program.netlist's $net<N> names need not match the sampled
         # variables).  Old cached programs may predate the field.
-        runner_kwargs.setdefault(
+        options.setdefault(
             "netlist", getattr(program, "edif_netlist", None) or program.netlist
         )
-        return self.runner.run(
-            program.logical,
-            pins=pins,
-            solver=solver,
-            num_reads=num_reads,
-            **runner_kwargs,
-        )
+        return self.runner.run(program.logical, pins=pins, **options)
 
 
 def compile_verilog(

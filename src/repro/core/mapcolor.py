@@ -13,9 +13,9 @@ measured rather than quoted.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.ising.model import IsingModel, SPIN_TRUE
+from repro.ising.model import IsingModel
 
 #: Australia's states and territories (Tasmania excluded, as in the
 #: paper: it is an island and independent of the mainland coloring).
@@ -86,34 +86,3 @@ def unary_map_coloring_model(
             add((r, c), (s, c), conflict_strength)
 
     return IsingModel.from_qubo(qubo, offset)
-
-
-def decode_unary_sample(
-    sample: Mapping[Tuple, int],
-    regions: Sequence[str] = tuple(AUSTRALIA_REGIONS),
-    num_colors: int = 4,
-) -> Dict[str, int]:
-    """Read a one-hot spin sample back into region -> color.
-
-    Raises ``ValueError`` if any region's one-hot constraint is broken
-    (zero or multiple colors set).
-    """
-    colors: Dict[str, int] = {}
-    for region in regions:
-        chosen = [
-            c for c in range(num_colors) if sample[(region, c)] == SPIN_TRUE
-        ]
-        if len(chosen) != 1:
-            raise ValueError(
-                f"region {region!r} has {len(chosen)} colors set (one-hot broken)"
-            )
-        colors[region] = chosen[0]
-    return colors
-
-
-def coloring_is_proper(
-    colors: Mapping[str, int],
-    adjacent: Iterable[Tuple[str, str]] = tuple(AUSTRALIA_ADJACENT),
-) -> bool:
-    """True when no adjacent pair shares a color."""
-    return all(colors[a] != colors[b] for a, b in adjacent)

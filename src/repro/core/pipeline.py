@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from repro.core import trace as _trace
 from repro.core.deadline import Deadline
@@ -88,9 +88,6 @@ class PipelineStats:
 
     def total_time_s(self) -> float:
         return sum(r.wall_time_s for r in self.records)
-
-    def cache_hits(self) -> int:
-        return sum(1 for r in self.records if r.cached)
 
     # -- rendering -----------------------------------------------------
     def format_table(self, title: Optional[str] = None) -> str:
@@ -236,31 +233,6 @@ class Stage:
         return {}
 
 
-class FunctionStage(Stage):
-    """Adapt a plain ``artifact -> artifact`` callable into a stage."""
-
-    def __init__(
-        self,
-        name: str,
-        function: Callable[[Any, PipelineContext], Any],
-        counters: Optional[Callable[[Any, PipelineContext], Dict[str, float]]] = None,
-        skip: Optional[Callable[[Any, PipelineContext], bool]] = None,
-    ):
-        self.name = name
-        self._function = function
-        self._counters = counters
-        self._skip = skip
-
-    def run(self, artifact: Any, context: PipelineContext) -> Any:
-        return self._function(artifact, context)
-
-    def counters(self, artifact: Any, context: PipelineContext) -> Dict[str, float]:
-        return self._counters(artifact, context) if self._counters else {}
-
-    def skip(self, artifact: Any, context: PipelineContext) -> bool:
-        return self._skip(artifact, context) if self._skip else False
-
-
 class PassManager:
     """Run an ordered stage list, instrumenting every stage.
 
@@ -279,9 +251,6 @@ class PassManager:
         self.stages: List[Stage] = list(stages)
         #: Span-name prefix for this pipeline ("compile", "run", ...).
         self.name = name
-
-    def stage_names(self) -> List[str]:
-        return [stage.name for stage in self.stages]
 
     def run(self, artifact: Any, context: PipelineContext) -> Any:
         prefix = f"{self.name}." if self.name else ""

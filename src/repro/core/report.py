@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.core.compiler import CompiledProgram
-from repro.core.pipeline import PipelineStats
 from repro.qmasm.runner import RunResult, Solution
 
 
@@ -92,11 +91,6 @@ def format_run_result(
         lines.append("")
         lines.append("run info: " + ", ".join(info_bits))
     return "\n".join(lines)
-
-
-def format_pass_table(stats: PipelineStats, title: Optional[str] = None) -> str:
-    """The ``--time-passes`` table: per-stage wall time and counters."""
-    return stats.format_table(title=title)
 
 
 def format_read_counts(result: RunResult) -> str:

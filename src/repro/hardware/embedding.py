@@ -115,12 +115,6 @@ class Embedding:
     def max_chain_length(self) -> int:
         return max((len(chain) for chain in self.chains.values()), default=0)
 
-    def used_qubits(self) -> Set[Qubit]:
-        out: Set[Qubit] = set()
-        for chain in self.chains.values():
-            out |= chain
-        return out
-
     def validate(self, source_edges: Iterable[Tuple[Variable, Variable]], target: nx.Graph) -> None:
         """Raise ``EmbeddingError`` unless this is a proper minor embedding.
 
@@ -506,18 +500,16 @@ def find_embedding(
     tries: int = 16,
     rounds: int = 32,
     max_attempts: int = 1,
-    backoff_s: float = 0.0,
     stats: Optional[Dict[str, float]] = None,
 ) -> Embedding:
     """Find a minor embedding of ``source`` into ``target``.
 
     The retry budget *escalates*: attempt ``a`` (1-based) runs ``tries``
     reseeded randomized restarts with ``rounds * 2**(a-1)`` improvement
-    rounds each, sleeping ``backoff_s * 2**(a-1)`` seconds between
-    attempts.  Degraded working graphs (dead qubits/couplers) that defeat
-    the default budget usually yield to the deeper later attempts; a
-    final failure raises an :class:`EmbeddingError` carrying the source
-    size, target size, and budget actually used.
+    rounds each.  Degraded working graphs (dead qubits/couplers) that
+    defeat the default budget usually yield to the deeper later
+    attempts; a final failure raises an :class:`EmbeddingError` carrying
+    the source size, target size, and budget actually used.
 
     Args:
         source: the logical interaction graph (one node per variable,
@@ -529,7 +521,6 @@ def find_embedding(
         tries: independent randomized restarts per attempt.
         rounds: improvement rounds per restart (first attempt).
         max_attempts: escalation attempts (1 = the classic behavior).
-        backoff_s: base sleep between attempts (exponential).
         stats: optional dict populated with ``attempts`` (attempts used)
             and ``restarts`` (total restarts) on success.
 
@@ -577,8 +568,6 @@ def find_embedding(
                     target_size=len(target),
                 )
                 return embedding
-        if attempt < max_attempts and backoff_s > 0.0:
-            time.sleep(backoff_s * (1 << (attempt - 1)))
     trace.metrics().counter("embed.failures").inc()
     raise EmbeddingError(
         "no embedding found within the retry budget"

@@ -369,7 +369,6 @@ class ZephyrTopology(Topology):
         # with overlapping half-step segments (two matches per line).
         for w in range(2 * m + 1):
             for k in range(t):
-                line = t * w + k
                 for j in (0, 1):
                     for z in range(m):
                         lo, hi = self._extent(j, z)
@@ -378,9 +377,9 @@ class ZephyrTopology(Topology):
                             w2, k2 = divmod(pos, t)
                             if w2 > 2 * m:
                                 continue
-                            # Horizontal segments covering `line`: the
-                            # half-steps s = 2z2 + j2 with
-                            # t*s <= line <= t*s + 2t - 1.
+                            # Horizontal segments covering line t*w + k:
+                            # the half-steps s = 2z2 + j2 with
+                            # t*s <= t*w + k <= t*s + 2t - 1.
                             for s in (w - 1, w):
                                 if not 0 <= s < 2 * m:
                                     continue

@@ -65,10 +65,6 @@ class PenaltyModel:
     gap: float = 0.0
     augmentation: List[Tuple[int, ...]] = field(default_factory=list)
 
-    @property
-    def all_variables(self) -> List[str]:
-        return list(self.variables) + list(self.ancillas)
-
 
 def _rows_as_spins(rows: Iterable[Sequence[int]], width: int) -> List[Tuple[int, ...]]:
     """Normalize truth-table rows (bools or spins) to spin tuples."""

@@ -32,7 +32,6 @@ answer, and every retry/fallback/broken-chain count lands in
 from __future__ import annotations
 
 import dataclasses
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -243,9 +242,9 @@ class RetryPolicy:
     of that:
 
     * **Sample retries** -- up to :attr:`max_sample_attempts` calls per
-      sample, with exponential backoff.  Retried calls run under a fresh
-      random gauge (:attr:`gauge_on_retry`), so retries double as
-      spin-reversal averaging and decorrelate systematic analog bias.
+      sample.  Retried calls run under a fresh random gauge, so retries
+      double as spin-reversal averaging and decorrelate systematic
+      analog bias.
     * **Chain-strength escalation** -- if the unembedded chain-break
       rate exceeds :attr:`chain_break_threshold`, the physical model is
       rebuilt with the chain strength multiplied by
@@ -259,8 +258,7 @@ class RetryPolicy:
       actually produced the answer.
     * **Embedding escalation** -- :attr:`embedding_max_attempts`
       escalating attempts (doubling improvement rounds, reseeded
-      restarts, exponential backoff) for minor embedding on degraded
-      working graphs.
+      restarts) for minor embedding on degraded working graphs.
     * **Self-repair** -- when certification finds uncertified reads
       (``certify=True, repair=True``), up to :attr:`max_repair_rounds`
       repair rounds run: the first polishes the offending reads with
@@ -276,16 +274,12 @@ class RetryPolicy:
     """
 
     max_sample_attempts: int = 3
-    backoff_s: float = 0.0
-    backoff_factor: float = 2.0
-    gauge_on_retry: bool = True
     chain_break_threshold: float = 0.25
     chain_strength_factor: float = 2.0
     max_chain_strength_escalations: int = 2
     fallback_solvers: Tuple[str, ...] = ("sqa", "tabu", "exact")
     exact_fallback_limit: int = 18
     embedding_max_attempts: int = 3
-    embedding_backoff_s: float = 0.0
     max_repair_rounds: int = 3
     repair_polish_sweeps: int = 64
     repair_read_factor: float = 2.0
@@ -312,26 +306,47 @@ class RetryPolicy:
 
 @dataclass
 class RunOptions:
-    """Per-run execution knobs, carried by the pipeline context."""
+    """A run's options: the keywords of :meth:`QmasmRunner.run`."""
 
+    #: ``"dwave"`` (embed and anneal on the simulated 2000Q), ``"sa"``
+    #: (simulated annealing on the logical problem), ``"sqa"``
+    #: (path-integral simulated *quantum* annealing, the Hitachi-style
+    #: classical annealer of Section 2), ``"exact"`` (exhaustive),
+    #: ``"tabu"``, ``"qbsolv"``, or ``"shard"`` (decompose across the
+    #: runner's simulated fleet -- the path for programs too large for
+    #: any single working graph).
     solver: str = "dwave"
+    #: Anneals / reads to perform (sqa, qbsolv and shard cap them at
+    #: 32, 10 and 5).
     num_reads: int = 100
-    #: Metropolis sweeps per read for the classical solvers; None keeps
-    #: each solver's default (the dwave tier derives sweeps from
+    #: Metropolis sweeps per read for the classical solvers (``tabu``
+    #: treats it as its iteration budget); None keeps each solver's
+    #: default (the dwave tier derives sweeps from
     #: ``annealing_time_us`` instead).
     num_sweeps: Optional[int] = None
     #: Process-pool size for qbsolv reads and shard rounds; None/1 runs
     #: serially.  Results are bit-identical either way -- seeds are
     #: split deterministically from the parent RNG.
     max_workers: Optional[int] = None
+    #: Per-anneal time for the dwave solver, in microseconds.
     annealing_time_us: float = 20.0
+    #: Logical chain coupling and pin bias magnitudes; None keeps
+    #: :meth:`LogicalProgram.to_ising`'s defaults.
     chain_strength: Optional[float] = None
     pin_strength: Optional[float] = None
+    #: Elide a-priori-determined qubits before sampling.
     use_roof_duality: bool = False
-    embedding_tries: int = 16
+    #: Seed of the randomized embedder; None uses the runner's seed.
     embedding_seed: Optional[int] = None
+    #: ``"optimization"`` refines unembedded dwave samples with a short
+    #: cold logical anneal -- the analogue of SAPI's optimization
+    #: postprocessing, standing in for the collective chain dynamics a
+    #: real annealer has and single-spin-flip simulation lacks;
+    #: ``"none"`` returns the raw majority-vote samples.
     postprocess: str = "optimization"
-    retry: RetryPolicy = field(default_factory=RetryPolicy)
+    #: Sample retries, chain-strength escalation, classical fallback
+    #: tiers and the repair budget for hardware runs.
+    retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Certify every read end-to-end (energy recomputation + netlist
     #: replay + pins/assertions) and attach a Certificate to the result.
     certify: bool = False
@@ -341,14 +356,16 @@ class RunOptions:
     #: program came from the Verilog flow; None limits certification to
     #: energy/pin/assertion checks.
     netlist: object = None
-    #: Relative tolerance of the certification energy comparison.
-    energy_tolerance: float = 1e-6
 
     def __post_init__(self):
         if self.num_reads < 1:
             raise ValueError("num_reads must be positive")
         if self.num_sweeps is not None and self.num_sweeps < 1:
             raise ValueError("num_sweeps must be positive")
+        if self.solver == "dwave" and self.postprocess not in (
+            "none", "optimization"
+        ):
+            raise ValueError(f"unknown postprocess {self.postprocess!r}")
 
 
 @dataclass
@@ -412,7 +429,7 @@ class FindEmbeddingStage(Stage):
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         machine = self._runner._get_machine()
         context.scratch["machine"] = machine
         source_graph = source_graph_of(artifact.solve_model)
@@ -429,7 +446,6 @@ class FindEmbeddingStage(Stage):
             source_graph,
             machine.working_graph,
             seed=seed,
-            tries=options.embedding_tries,
             max_attempts=policy.embedding_max_attempts,
             topology=machine.topology.fingerprint(),
         )
@@ -444,9 +460,7 @@ class FindEmbeddingStage(Stage):
                 source_graph,
                 machine.working_graph,
                 seed=seed,
-                tries=options.embedding_tries,
                 max_attempts=policy.embedding_max_attempts,
-                backoff_s=policy.embedding_backoff_s,
                 stats=estats,
             )
             cache.put(key, embedding)
@@ -586,7 +600,7 @@ class SampleStage(Stage):
     def _fall_back(self, artifact: RunArtifact, context: PipelineContext) -> None:
         """Degrade through the classical tiers after hardware gave up."""
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         model = artifact.solve_model
         last_error: Optional[Exception] = context.scratch.get("last_error")
         for depth, tier in enumerate(policy.fallback_solvers, start=1):
@@ -661,7 +675,7 @@ class UnembedStage(Stage):
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         unembedded = unembed_sampleset(
             artifact.sampleset, artifact.embedding, artifact.solve_model
         )
@@ -868,7 +882,6 @@ class CertifyStage(Stage):
             artifact.solve_model,
             fixed=artifact.fixed,
             netlist=options.netlist,
-            energy_tolerance=options.energy_tolerance,
         )
         artifact.certificate = certificate
         metrics = context.metrics
@@ -930,12 +943,12 @@ class RepairStage(Stage):
             not (options.certify and options.repair)
             or artifact.certificate is None
             or artifact.certificate.ok
-            or options.retry.max_repair_rounds < 1
+            or options.retry_policy.max_repair_rounds < 1
         )
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         metrics = context.metrics
         deadline = context.deadline
         certificate = artifact.certificate
@@ -951,7 +964,6 @@ class RepairStage(Stage):
                 artifact.solve_model,
                 fixed=artifact.fixed,
                 netlist=options.netlist,
-                energy_tolerance=options.energy_tolerance,
             )
             # Later rounds (and _resample) must see *this* round's
             # verdict, not the pre-repair one.
@@ -1039,7 +1051,7 @@ class RepairStage(Stage):
     ) -> bool:
         """Replace still-uncertified rows with freshly sampled reads."""
         options: RunOptions = context.options
-        policy = options.retry
+        policy = options.retry_policy
         escalated = dataclasses.replace(
             options,
             num_reads=max(1, int(options.num_reads * policy.repair_read_factor)),
@@ -1204,37 +1216,28 @@ class QmasmRunner:
         retry runs under one fresh random spin-reversal gauge, so a
         flaky machine's successful retries also decorrelate its analog
         bias -- retries double as gauge averaging.  Every attempt,
-        retry, failure, and gauge lands on ``context.metrics`` under
+        retry and failure lands on ``context.metrics`` under
         ``runner.*`` -- the single source the stage counters and
         ``info["resilience"]`` read from.
         """
-        policy = options.retry
         metrics = context.metrics
-        delay = policy.backoff_s
         last_error: Optional[Exception] = None
-        for attempt in range(policy.max_sample_attempts):
+        for attempt in range(options.retry_policy.max_sample_attempts):
             metrics.counter("runner.sample_attempts").inc()
             if attempt > 0:
                 metrics.counter("runner.sample_retries").inc()
-                if policy.gauge_on_retry:
-                    metrics.counter("runner.gauge_retries").inc()
                 _trace.event("runner.retry", attempt=attempt)
             try:
                 return machine.sample_ising(
                     model,
                     num_reads=options.num_reads,
                     annealing_time_us=options.annealing_time_us,
-                    num_spin_reversal_transforms=(
-                        1 if attempt > 0 and policy.gauge_on_retry else 0
-                    ),
+                    num_spin_reversal_transforms=1 if attempt > 0 else 0,
                     deadline=context.deadline,
                 )
             except TransientSolverError as exc:
                 last_error = exc
                 metrics.counter("runner.sample_failures").inc()
-                if delay > 0.0 and attempt + 1 < policy.max_sample_attempts:
-                    time.sleep(delay)
-                    delay *= policy.backoff_factor
         context.scratch["last_error"] = last_error
         return None
 
@@ -1368,23 +1371,9 @@ class QmasmRunner:
         self,
         source: Union[str, Program, LogicalProgram],
         pins: Sequence[Union[str, Pin]] = (),
-        solver: str = "dwave",
-        num_reads: int = 100,
-        num_sweeps: Optional[int] = None,
-        max_workers: Optional[int] = None,
-        annealing_time_us: float = 20.0,
-        chain_strength: Optional[float] = None,
-        pin_strength: Optional[float] = None,
-        use_roof_duality: bool = False,
-        embedding_tries: int = 16,
-        embedding_seed: Optional[int] = None,
-        postprocess: str = "optimization",
-        retry_policy: Optional[RetryPolicy] = None,
-        certify: bool = False,
-        repair: bool = False,
-        netlist: object = None,
+        *,
         deadline: Optional[Union[float, Deadline]] = None,
-        energy_tolerance: float = 1e-6,
+        **options,
     ) -> RunResult:
         """Assemble and execute a QMASM program.
 
@@ -1393,47 +1382,6 @@ class QmasmRunner:
                 assembled :class:`LogicalProgram`.
             pins: extra ``--pin`` style bindings (strings like
                 ``"C[7:0] := 10001111"`` or :class:`Pin` objects).
-            solver: ``"dwave"`` (embed + anneal on the simulated 2000Q),
-                ``"sa"`` (simulated annealing on the logical problem),
-                ``"sqa"`` (path-integral simulated *quantum* annealing,
-                the Hitachi-style classical annealer of Section 2),
-                ``"exact"`` (exhaustive), ``"tabu"``, ``"qbsolv"``, or
-                ``"shard"`` (decompose across the runner's simulated
-                fleet of ``machines`` chips -- the path for programs too
-                large for any single working graph).
-            num_reads: anneals / reads to perform (at least 1).
-            num_sweeps: Metropolis sweeps per read for the classical
-                solvers (``sa``/``sqa``; ``tabu`` treats it as its
-                iteration budget); None keeps each solver's default.
-                The dwave tier derives sweeps from ``annealing_time_us``.
-            max_workers: process-pool size for qbsolv reads and shard
-                rounds; results are bit-identical to serial runs.
-            annealing_time_us: per-anneal time for the dwave solver.
-            chain_strength / pin_strength: see
-                :meth:`LogicalProgram.to_ising`.
-            use_roof_duality: elide a-priori-determined qubits first.
-            embedding_tries: restarts for the minor embedder.
-            embedding_seed: seed controlling the randomized embedder.
-            postprocess: ``"optimization"`` (default) refines unembedded
-                dwave samples with a short cold logical anneal -- the
-                analogue of SAPI's optimization postprocessing, standing
-                in for the collective chain dynamics a real annealer has
-                and single-spin-flip simulation lacks; ``"none"``
-                returns raw majority-vote samples.
-            retry_policy: the resilient-execution policy for hardware
-                runs (sample retries with gauge re-randomization,
-                chain-strength escalation, classical fallback tiers);
-                defaults to :class:`RetryPolicy`'s defaults.
-            certify: recompute every read's energy from the logical
-                model, replay the gate netlist (when given), and check
-                pins/assertions; the verdict lands on
-                :attr:`RunResult.certificate`.
-            repair: with ``certify``, run the self-repair loop on
-                uncertified reads (steepest-descent polish, then
-                budgeted escalated re-sampling) under the retry
-                policy's ``max_repair_rounds`` budget.
-            netlist: the gate-level netlist to replay during
-                certification (the compiler passes its own).
             deadline: wall-clock budget in seconds (or a prearmed
                 :class:`~repro.core.deadline.Deadline`).  Samplers stop
                 cooperatively at sweep-batch granularity; optional
@@ -1441,38 +1389,22 @@ class QmasmRunner:
                 required stages that cannot start raise
                 :class:`~repro.core.deadline.DeadlineExceeded` carrying
                 the partial artifact and the interrupted stage name.
-            energy_tolerance: relative tolerance of the certification
-                energy comparison.
+            **options: the :class:`RunOptions` fields (``solver``,
+                ``num_reads``, ``certify``, ...); an unknown keyword is a
+                ``TypeError`` and a bad value a ``ValueError``, both
+                before anything is assembled.
 
         Returns:
             A :class:`RunResult` with aggregated, energy-sorted
             solutions and per-stage :attr:`RunResult.stats`.
         """
-        if solver == "dwave" and postprocess not in ("none", "optimization"):
-            raise ValueError(f"unknown postprocess {postprocess!r}")
-
-        options = RunOptions(
-            solver=solver,
-            num_reads=num_reads,
-            num_sweeps=num_sweeps,
-            max_workers=max_workers,
-            annealing_time_us=annealing_time_us,
-            chain_strength=chain_strength,
-            pin_strength=pin_strength,
-            use_roof_duality=use_roof_duality,
-            embedding_tries=embedding_tries,
-            embedding_seed=embedding_seed,
-            postprocess=postprocess,
-            retry=retry_policy if retry_policy is not None else RetryPolicy(),
-            certify=certify,
-            repair=repair,
-            netlist=netlist,
-            energy_tolerance=energy_tolerance,
-        )
+        options = RunOptions(**options)
+        solver = options.solver
 
         logical = self._to_logical(source, pins)
         logical_model, representative = logical.to_ising(
-            chain_strength=chain_strength, pin_strength=pin_strength
+            chain_strength=options.chain_strength,
+            pin_strength=options.pin_strength,
         )
         run_deadline: Optional[Deadline] = (
             deadline

@@ -5,14 +5,14 @@ can split large problems into sub-problems that fit on the D-Wave
 hardware".  This module reproduces that flow: keep a full-size incumbent
 assignment, repeatedly carve out a subset of variables (those with the
 largest energy impact, plus their neighborhoods), clamp everything else,
-solve the induced subproblem with a subsolver (the "hardware" sampler or
-tabu), and accept improvements until no subproblem helps.
+solve the induced subproblem with tabu search, and accept improvements
+until no subproblem helps.  Decomposition onto the simulated hardware
+itself is :class:`~repro.solvers.shard.ShardSolver`'s job.
 
-Reads are embarrassingly parallel: with the default tabu subsolver,
-every read runs on a private RNG and subsolver built from a seed the
-parent RNG drew upfront, so ``max_workers > 1`` (a process pool over
-reads) returns bit-identical samples to a serial run.  A custom
-``subsolver`` object is shared state, so those runs stay serial.
+Reads are embarrassingly parallel: every read runs on a private RNG and
+tabu subsolver built from a seed the parent RNG drew upfront, so
+``max_workers > 1`` (a process pool over reads) returns bit-identical
+samples to a serial run.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ def clamped_subproblem(
     subproblem's energy of any region assignment equals the full
     model's energy of (region assignment + clamped incumbent).  The
     interaction *structure* of the subproblem depends only on the
-    region, never on the incumbent -- which is what lets decomposers
-    (:class:`QBSolv`, :class:`~repro.solvers.shard.ShardSolver`) reuse
-    one minor embedding per region across every round.
+    region, never on the incumbent -- which is what lets
+    :class:`~repro.solvers.shard.ShardSolver` reuse one minor embedding
+    per region across every round.
     """
     region_set = set(region)
     sub = IsingModel(offset=model.offset)
@@ -75,36 +75,27 @@ def _solve_read(job) -> Dict:
     """
     model, subproblem_size, num_repeats, seed = job
     solver = QBSolv(subproblem_size=subproblem_size, seed=seed)
-    order = list(model.variables)
-    return solver._solve_one(
-        model, order, num_repeats, solver._rng, solver.subsolver
-    )
+    return solver._solve_one(model, num_repeats)
 
 
 class QBSolv:
-    """Decomposing solver with a pluggable subproblem sampler."""
+    """Decomposing solver with a tabu-search subproblem sampler."""
 
     def __init__(
         self,
         subproblem_size: int = 48,
-        subsolver=None,
         seed: Optional[int] = None,
         max_workers: Optional[int] = None,
     ):
         """Args:
             subproblem_size: maximum variables per subproblem (on real
                 hardware this is bounded by the working graph size).
-            subsolver: object with ``sample(model, ...) -> SampleSet``;
-                defaults to :class:`TabuSampler`.  Passing one pins the
-                solve to a single shared sampler, which also disables
-                process-pool reads.
             seed: RNG seed for restarts and region selection.
             max_workers: default process-pool size for multi-read solves
                 (overridable per :meth:`sample` call).
         """
         self.subproblem_size = subproblem_size
-        self._default_subsolver = subsolver is None
-        self.subsolver = subsolver or TabuSampler(seed=seed)
+        self.subsolver = TabuSampler(seed=seed)
         self.max_workers = max_workers
         self._rng = np.random.default_rng(seed)
 
@@ -125,8 +116,7 @@ class QBSolv:
             max_workers: run reads in a process pool of this size
                 (defaults to the constructor's value).  Per-read seeds
                 are drawn from the parent RNG before dispatch, so the
-                samples are bit-identical to a serial run; ignored (and
-                reads stay serial) with a custom subsolver.
+                samples are bit-identical to a serial run.
         """
         if num_reads < 1:
             raise ValueError("num_reads must be positive")
@@ -137,26 +127,18 @@ class QBSolv:
             max_workers = self.max_workers
         start = time.perf_counter()
 
-        if self._default_subsolver:
-            # Each read gets a private solver rebuilt from a seed drawn
-            # here, serially -- scheduling cannot change the answer.
-            seeds = self._rng.integers(0, 2**63, size=num_reads)
-            jobs = [
-                (model, self.subproblem_size, num_repeats, int(seed))
-                for seed in seeds
-            ]
-            if max_workers is not None and max_workers > 1 and num_reads > 1:
-                with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                    rows = list(pool.map(_solve_read, jobs))
-            else:
-                rows = [_solve_read(job) for job in jobs]
+        # Each read gets a private solver rebuilt from a seed drawn here,
+        # serially -- scheduling cannot change the answer.
+        seeds = self._rng.integers(0, 2**63, size=num_reads)
+        jobs = [
+            (model, self.subproblem_size, num_repeats, int(seed))
+            for seed in seeds
+        ]
+        if max_workers is not None and max_workers > 1 and num_reads > 1:
+            with ProcessPoolExecutor(max_workers=max_workers) as pool:
+                rows = list(pool.map(_solve_read, jobs))
         else:
-            rows = [
-                self._solve_one(
-                    model, order, num_repeats, self._rng, self.subsolver
-                )
-                for _ in range(num_reads)
-            ]
+            rows = [_solve_read(job) for job in jobs]
         records = np.array(
             [[assignment[v] for v in order] for assignment in rows], dtype=np.int8
         )
@@ -169,7 +151,7 @@ class QBSolv:
                 "solver": "qbsolv",
                 "subproblem_size": self.subproblem_size,
                 "num_reads": num_reads,
-                "max_workers": max_workers if self._default_subsolver else None,
+                "max_workers": max_workers,
             },
         )
         _observe_sample("qbsolv", result, elapsed, num_reads=num_reads,
@@ -179,15 +161,11 @@ class QBSolv:
 
     # ------------------------------------------------------------------
     def _solve_one(
-        self,
-        model: IsingModel,
-        order: List[Variable],
-        num_repeats: int,
-        rng: np.random.Generator,
-        subsolver,
+        self, model: IsingModel, num_repeats: int
     ) -> Dict[Variable, int]:
+        rng = self._rng
         assignment: Dict[Variable, int] = {
-            v: int(rng.choice([-1, 1])) for v in order
+            v: int(rng.choice([-1, 1])) for v in model.variables
         }
         energy = model.energy(assignment)
         stall = 0
@@ -201,8 +179,8 @@ class QBSolv:
             else:
                 region = self._select_connected_region(model, rng)
             use_impact = not use_impact
-            sub = self._clamped_subproblem(model, assignment, region)
-            best = subsolver.sample(sub, num_reads=1).first
+            sub = clamped_subproblem(model, assignment, region)
+            best = self.subsolver.sample(sub, num_reads=1).first
             candidate = dict(assignment)
             candidate.update(best.assignment)
             candidate_energy = model.energy(candidate)
@@ -272,12 +250,3 @@ class QBSolv:
             rng.shuffle(extras)
             region.extend(extras[: self.subproblem_size - len(region)])
         return region
-
-    def _clamped_subproblem(
-        self,
-        model: IsingModel,
-        assignment: Dict[Variable, int],
-        region: List[Variable],
-    ) -> IsingModel:
-        """Fix every variable outside ``region`` at its incumbent spin."""
-        return clamped_subproblem(model, assignment, region)

@@ -22,7 +22,7 @@ Bits = List[Net]
 
 
 class CircuitBuilder:
-    """Build combinational/sequential logic in a netlist."""
+    """Build combinational logic in a netlist."""
 
     def __init__(self, netlist: Netlist):
         self.netlist = netlist
@@ -111,15 +111,6 @@ class CircuitBuilder:
             return self.not_(a)
         return self._emit("XOR", {"A": a, "B": b})
 
-    def xnor_(self, a: Net, b: Net) -> Net:
-        return self.not_(self.xor_(a, b))
-
-    def nand_(self, a: Net, b: Net) -> Net:
-        return self.not_(self.and_(a, b))
-
-    def nor_(self, a: Net, b: Net) -> Net:
-        return self.not_(self.or_(a, b))
-
     def mux_(self, select: Net, when0: Net, when1: Net) -> Net:
         """Table 5's 2:1 MUX: Y = select ? when1 : when0."""
         sv = self.value_of(select)
@@ -144,13 +135,6 @@ class CircuitBuilder:
             return self.or_(select, when0)
         return self._emit("MUX", {"S": select, "A": when0, "B": when1})
 
-    def dff(self, d: Net, negedge: bool = False) -> Net:
-        """A flip-flop; no folding (state must stay state)."""
-        out = self.netlist.new_net()
-        kind = "DFF_N" if negedge else "DFF_P"
-        self.netlist.add_cell(kind, {"D": d, "Q": out})
-        return out
-
     # ------------------------------------------------------------------
     # Vector bit operations
     # ------------------------------------------------------------------
@@ -166,14 +150,8 @@ class CircuitBuilder:
     def xor_vec(self, a: Bits, b: Bits) -> Bits:
         return [self.xor_(x, y) for x, y in self._zip(a, b)]
 
-    def xnor_vec(self, a: Bits, b: Bits) -> Bits:
-        return [self.xnor_(x, y) for x, y in self._zip(a, b)]
-
     def mux_vec(self, select: Net, when0: Bits, when1: Bits) -> Bits:
         return [self.mux_(select, x, y) for x, y in self._zip(when0, when1)]
-
-    def dff_vec(self, d: Bits, negedge: bool = False) -> Bits:
-        return [self.dff(bit, negedge) for bit in d]
 
     @staticmethod
     def _zip(a: Bits, b: Bits):

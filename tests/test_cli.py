@@ -122,6 +122,31 @@ def test_nonpositive_reads_or_sweeps_exit_2_before_compiling(
     assert err == f"error: {reported} must be at least 1, got {value}\n"
 
 
+@pytest.mark.parametrize(
+    "solver, flag, value, reported",
+    [
+        ("sa", "--deadline", "0", "--deadline must be positive, got 0"),
+        ("sa", "--deadline", "-1", "--deadline must be positive, got -1"),
+        ("dwave", "--anneal-time", "0.5",
+         "--anneal-time must lie within [1, 2000] us, got 0.5"),
+        ("dwave", "--anneal-time", "2001",
+         "--anneal-time must lie within [1, 2000] us, got 2001"),
+        ("sa", "--anneal-time", "-5",
+         "--anneal-time must lie within [1, 2000] us, got -5"),
+    ],
+)
+def test_bad_deadline_or_anneal_time_exit_2_before_compiling(
+    verilog_file, capsys, monkeypatch, solver, flag, value, reported
+):
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the CLI built a compiler for a bad value")
+
+    monkeypatch.setattr("repro.core.cli.VerilogAnnealerCompiler", no_compiler)
+    code = main([verilog_file, "--run", "--solver", solver, flag, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {reported}\n"
+
+
 def test_stdin_input(monkeypatch, capsys):
     import io
 

@@ -11,7 +11,6 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 import textwrap
 import time
 import types
@@ -22,7 +21,6 @@ import pytest
 from repro.core import trace
 from repro.core.cache import CheckpointCache
 from repro.core.faults import (
-    FaultSpec,
     MachineCrashError,
     TransientSolverError,
     parse_fault_spec,

@@ -177,7 +177,7 @@ class TestHardwareRunMetrics:
         faults = FaultSpec(fail_first_samples=2, seed=3)
         with trace.capture() as (tracer, metrics):
             runner = QmasmRunner(machine=self._machine(faults=faults), seed=0)
-            policy = RetryPolicy(max_sample_attempts=3, backoff_s=0.0)
+            policy = RetryPolicy(max_sample_attempts=3)
             result = runner.run(
                 AND_PROGRAM, solver="dwave", num_reads=20, retry_policy=policy
             )
@@ -199,7 +199,7 @@ class TestHardwareRunMetrics:
         faults = FaultSpec(fail_first_samples=99, seed=3)
         with trace.capture() as (tracer, metrics):
             runner = QmasmRunner(machine=self._machine(faults=faults), seed=0)
-            policy = RetryPolicy(max_sample_attempts=2, backoff_s=0.0)
+            policy = RetryPolicy(max_sample_attempts=2)
             result = runner.run(
                 AND_PROGRAM, solver="dwave", num_reads=20, retry_policy=policy
             )

@@ -1,9 +1,13 @@
 """Tests for the qmasm runner (assemble -> embed -> anneal -> report)."""
 
+import dataclasses
+
 import pytest
 
+from repro.core.compiler import VerilogAnnealerCompiler
+from repro.core.pipeline import Stage
 from repro.qmasm.program import QmasmError
-from repro.qmasm.runner import QmasmRunner, RunOptions, Solution
+from repro.qmasm.runner import QmasmRunner, RetryPolicy, RunOptions, Solution
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 
 AND_PROGRAM = "!include <stdcell>\n!use_macro AND g\n"
@@ -90,6 +94,108 @@ def test_nonpositive_read_and_sweep_counts_rejected(runner, kwargs, message):
     for solver in ("dwave", "sa", "tabu"):
         with pytest.raises(ValueError, match=message):
             runner.run(AND_PROGRAM, solver=solver, **kwargs)
+
+
+# ----------------------------------------------------------------------
+# RunOptions: the one declaration of a run's keywords
+# ----------------------------------------------------------------------
+class _RecordOptions(Stage):
+    """Keeps the options the run's pipeline was given."""
+
+    name = "record_options"
+
+    def __init__(self):
+        self.options = None
+
+    def run(self, artifact, context):
+        self.options = context.options
+        return artifact
+
+
+class _NoStage(Stage):
+    name = "no_stage"
+
+    def run(self, artifact, context):
+        raise AssertionError("a stage ran for a run with bad options")
+
+
+def _every_option():
+    """Each RunOptions field by keyword, off its default where the fast
+    exact path allows, so a keyword dropped on the way shows."""
+    values = dict(
+        solver="exact",
+        num_reads=7,
+        num_sweeps=5,
+        max_workers=1,
+        annealing_time_us=30.0,
+        chain_strength=2.5,
+        pin_strength=3.5,
+        use_roof_duality=True,
+        embedding_seed=3,
+        postprocess="none",
+        retry_policy=RetryPolicy(max_sample_attempts=2),
+        certify=True,
+        repair=True,
+        netlist=None,
+    )
+    assert set(values) == {f.name for f in dataclasses.fields(RunOptions)}
+    return values
+
+
+def test_dwave_postprocess_none_skips_the_stage(runner):
+    refined = runner.run(AND_PROGRAM, solver="dwave", num_reads=20)
+    assert not refined.stats["postprocess"].skipped
+    assert refined.info["postprocess"] == "optimization"
+
+    raw = runner.run(AND_PROGRAM, solver="dwave", num_reads=20, postprocess="none")
+    assert raw.stats["postprocess"].skipped
+    assert "postprocess" not in raw.info
+    assert raw.info["answered_by"] == "dwave"
+
+
+def test_unknown_postprocess_rejected_before_any_stage():
+    with pytest.raises(ValueError, match="unknown postprocess 'sapi'"):
+        RunOptions(postprocess="sapi")
+    runner = QmasmRunner(seed=0)
+    runner.run_stages = [_NoStage()]
+    with pytest.raises(ValueError, match="unknown postprocess 'sapi'"):
+        runner.run(AND_PROGRAM, postprocess="sapi")
+    # Only the dwave tier postprocesses, so only it checks the value.
+    assert RunOptions(solver="sa", postprocess="sapi").postprocess == "sapi"
+
+
+def test_every_run_option_is_a_runner_keyword():
+    runner = QmasmRunner(seed=0)
+    recorder = _RecordOptions()
+    runner.run_stages.insert(0, recorder)
+    runner.run(AND_PROGRAM, **_every_option())
+    assert recorder.options == RunOptions(**_every_option())
+
+
+def test_every_run_option_is_a_compiler_keyword():
+    compiler = VerilogAnnealerCompiler(seed=0)
+    recorder = _RecordOptions()
+    compiler.runner.run_stages.insert(0, recorder)
+    program = compiler.compile(
+        "module g (A, B, Y);\n input A;\n input B;\n output Y;\n"
+        " assign Y = A & B;\nendmodule\n"
+    )
+    compiler.run(program, **_every_option())
+    assert recorder.options == RunOptions(**_every_option())
+
+
+@pytest.mark.parametrize(
+    "knob", [{"energy_tolerance": 1e-3}, {"retry": RetryPolicy()}]
+)
+def test_deleted_run_knobs_rejected_before_assembly(knob, monkeypatch):
+    runner = QmasmRunner(seed=0)
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembled a program for a run with a bad keyword")
+
+    monkeypatch.setattr(runner, "_to_logical", no_assembly)
+    with pytest.raises(TypeError, match=next(iter(knob))):
+        runner.run(AND_PROGRAM, solver="exact", **knob)
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,7 @@ from repro.ising.cells import cell_hamiltonian
 from repro.ising.model import IsingModel
 from repro.solvers.exact import ExactSolver
 from repro.solvers.neal import SimulatedAnnealingSampler, default_beta_range
-from repro.solvers.qbsolv import QBSolv
+from repro.solvers.qbsolv import QBSolv, clamped_subproblem
 from repro.solvers.tabu import TabuSampler
 
 
@@ -196,11 +196,10 @@ def test_qbsolv_decomposes_large_problems():
 def test_qbsolv_clamped_subproblem_energy_identity():
     """Clamping must preserve energies: E_sub(region) == E_full(joined)."""
     model = _random_model(22, 12)
-    qb = QBSolv(subproblem_size=5, seed=3)
     rng = random.Random(0)
     assignment = {v: rng.choice([-1, 1]) for v in model.variables}
     region = list(model.variables)[:5]
-    sub = qb._clamped_subproblem(model, assignment, region)
+    sub = clamped_subproblem(model, assignment, region)
     for _ in range(10):
         candidate = dict(assignment)
         for v in region:
