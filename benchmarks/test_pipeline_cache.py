@@ -34,7 +34,9 @@ def test_second_compile_hits_compilation_cache(benchmark, caching_compiler):
     first, second = benchmark.pedantic(compile_twice, rounds=1, iterations=1)
     assert second is first  # memoized, no stage re-ran
     assert caching_compiler.compile_cache.stats.hits >= 1
-    benchmark.extra_info["cold_compile_s"] = round(first.stats.total_time_s(), 4)
+    benchmark.extra_info["cold_compile_s"] = round(
+        sum(record.wall_time_s for record in first.stats.values()), 4
+    )
     benchmark.extra_info["compile_cache_hits"] = (
         caching_compiler.compile_cache.stats.hits
     )

@@ -19,20 +19,28 @@ workload and records the serving numbers:
   on completeness (100% of acknowledged jobs must reach ``done``) and
   trajectory-style on replay time per job.
 
-Results are persisted to ``BENCH_service.json`` at the repo root in the
-tracked-trajectory style of ``BENCH_kernels.json``: the committed file
-is a regression baseline -- the warm-over-cold speedup may drop at most
-20% below the stored ratio before the gate fails, and each section is
-rewritten only once its gates have passed (see ``_trajectory.py``).
-Absolute latencies are machine-specific and never gate.
+Both measurements repeat: a full run makes :data:`PASSES` cold/warm
+passes, each on a fresh in-process server with empty caches, and
+:data:`RECOVERIES` recoveries, each on its own state dir.  Every gate
+reads the *median* pass or recovery, so one pass slowed by a noisy host
+cannot fail (or pass) the run; the completeness and cache checks hold
+on every pass.
 
-The acceptance criterion rides here too: at full scale the warm p50
-must be **measurably below** the cold p50 (at most 80% of it) -- the
-whole point of sharing caches across requests.
+Results are persisted to ``BENCH_service.json`` at the repo root in the
+tracked-trajectory style of ``BENCH_kernels.json``, per-pass values
+included: the committed file is a regression baseline -- the median
+warm-over-cold speedup may drop at most 20% below the stored ratio
+before the gate fails, and each section is rewritten only once its
+gates have passed (see ``_trajectory.py``).  Absolute latencies are
+machine-specific and never gate.
+
+The acceptance criterion rides here too: at full scale the median
+pass's warm p50 must be **measurably below** its cold p50 (at most 80%
+of it) -- the whole point of sharing caches across requests.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a scaled-down run (2 designs, fewer
-reads) that checks warm/cold sanity but skips every timing gate and
-writes the git-ignored ``BENCH_service.smoke.json`` instead.
+reads, 2 passes) that checks warm/cold sanity but skips every timing
+gate and writes the git-ignored ``BENCH_service.smoke.json`` instead.
 
 Reproduce with::
 
@@ -59,6 +67,9 @@ from _trajectory import (
 )
 
 NUM_DESIGNS = 2 if SMOKE else 8
+#: Cold/warm passes per run, each on a fresh server; gates read the
+#: median pass.
+PASSES = 2 if SMOKE else 5
 #: Compile-heavy, sample-light: a wide multiplier costs hundreds of
 #: milliseconds to lower (elaborate -> techmap -> EDIF -> QMASM ->
 #: assemble) while a few short anneals cost tens -- so the workload
@@ -131,8 +142,8 @@ def _percentile(values, q):
     return ranked[index]
 
 
-def test_service_throughput_and_cache_warmth():
-    faulthandler.dump_traceback_later(600.0, exit=True)
+def _serve_pass():
+    """One cold-then-warm pass on a fresh server with empty caches."""
     server = AnnealingServer(
         ServiceConfig(port=0, workers=2, rate_limit_per_s=None)
     )
@@ -146,39 +157,65 @@ def test_service_throughput_and_cache_warmth():
         for _ in range(HEALTH_PINGS):
             request("GET", "/healthz")
         ping_elapsed = time.perf_counter() - ping_start
-        requests_per_s = HEALTH_PINGS / ping_elapsed
 
         cold = [_submit_and_wait(request, i) for i in range(NUM_DESIGNS)]
         warm = [_submit_and_wait(request, i) for i in range(NUM_DESIGNS)]
-        cold_latencies = [latency for latency, _ in cold]
-        warm_latencies = [latency for latency, _ in warm]
-
-        assert all(not snap["cache_warm"] for _, snap in cold)
-        assert all(snap["cache_warm"] for _, snap in warm)
 
         metrics = request("GET", "/metrics?format=json")
         counters = metrics["counters"]
         hit_ratio = metrics["derived"]["cache.compile.hit_ratio"]
     finally:
         clean = server.shutdown_service(drain=True, timeout_s=30.0)
-        faulthandler.cancel_dump_traceback_later()
     assert clean, "benchmark server did not shut down cleanly"
 
-    cold_p50 = statistics.median(cold_latencies)
-    warm_p50 = statistics.median(warm_latencies)
-    cold_p99 = _percentile(cold_latencies, 0.99)
-    warm_p99 = _percentile(warm_latencies, 0.99)
-    warm_speedup = cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
-
+    assert all(not snap["cache_warm"] for _, snap in cold)
+    assert all(snap["cache_warm"] for _, snap in warm)
     assert counters["service.cache_warm"] == NUM_DESIGNS
     assert counters["service.cache_cold"] == NUM_DESIGNS
     # Every warm job hit the compile cache: the measured ratio is the
     # warm half of the workload.
     assert hit_ratio >= 0.5 - 1e-9
 
+    cold_latencies = [latency for latency, _ in cold]
+    warm_latencies = [latency for latency, _ in warm]
+    cold_p50 = statistics.median(cold_latencies)
+    warm_p50 = statistics.median(warm_latencies)
+    return {
+        "requests_per_s": HEALTH_PINGS / ping_elapsed,
+        "cold": {
+            "p50_s": cold_p50,
+            "p99_s": _percentile(cold_latencies, 0.99),
+            "latencies_s": cold_latencies,
+        },
+        "warm": {
+            "p50_s": warm_p50,
+            "p99_s": _percentile(warm_latencies, 0.99),
+            "latencies_s": warm_latencies,
+        },
+        "warm_speedup_p50": (
+            cold_p50 / warm_p50 if warm_p50 > 0 else float("inf")
+        ),
+        "compile_cache_hit_ratio": hit_ratio,
+        "cache_warm_jobs": counters["service.cache_warm"],
+    }
+
+
+def test_service_throughput_and_cache_warmth():
+    faulthandler.dump_traceback_later(600.0, exit=True)
+    try:
+        passes = [_serve_pass() for _ in range(PASSES)]
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+    requests_per_s = statistics.median(p["requests_per_s"] for p in passes)
+    cold_p50 = statistics.median(p["cold"]["p50_s"] for p in passes)
+    warm_p50 = statistics.median(p["warm"]["p50_s"] for p in passes)
+    pass_speedups = [p["warm_speedup_p50"] for p in passes]
+    warm_speedup = statistics.median(pass_speedups)
+
     payload = {
         "benchmark": "service_perf",
-        "version": 1,
+        "version": 2,
         "smoke": SMOKE,
         "workload": {
             "designs": NUM_DESIGNS,
@@ -187,35 +224,31 @@ def test_service_throughput_and_cache_warmth():
             "num_sweeps": NUM_SWEEPS,
             "workers": 2,
             "health_pings": HEALTH_PINGS,
+            "passes": PASSES,
         },
+        # Medians over the passes; the gates read these.
         "requests_per_s": requests_per_s,
-        "cold": {
-            "p50_s": cold_p50,
-            "p99_s": cold_p99,
-            "latencies_s": cold_latencies,
-        },
-        "warm": {
-            "p50_s": warm_p50,
-            "p99_s": warm_p99,
-            "latencies_s": warm_latencies,
-        },
+        "cold_p50_s": cold_p50,
+        "warm_p50_s": warm_p50,
         "warm_speedup_p50": warm_speedup,
-        "compile_cache_hit_ratio": hit_ratio,
-        "cache_warm_jobs": counters["service.cache_warm"],
+        "pass_speedups": pass_speedups,
+        "passes": passes,
     }
+    per_pass = ", ".join(f"{speedup:.2f}x" for speedup in pass_speedups)
     print(
-        f"\nservice_perf: {requests_per_s:.0f} req/s (healthz), "
-        f"cold p50={cold_p50 * 1000:.0f}ms p99={cold_p99 * 1000:.0f}ms, "
-        f"warm p50={warm_p50 * 1000:.0f}ms p99={warm_p99 * 1000:.0f}ms, "
-        f"warm speedup={warm_speedup:.2f}x, hit_ratio={hit_ratio:.2f}"
+        f"\nservice_perf ({PASSES} passes, medians): "
+        f"{requests_per_s:.0f} req/s (healthz), "
+        f"cold p50={cold_p50 * 1000:.0f}ms, warm p50={warm_p50 * 1000:.0f}ms, "
+        f"warm speedup={warm_speedup:.2f}x (per pass: {per_pass})"
     )
 
     # Smoke still proves warmth is plumbed, but never gates timing.
     if not SMOKE:
-        # Acceptance: the warm path must be measurably faster than cold.
-        assert warm_p50 <= cold_p50 * WARM_P50_CEILING, (
-            f"warm p50 {warm_p50:.3f}s not measurably below cold p50 "
-            f"{cold_p50:.3f}s (ceiling {WARM_P50_CEILING:.0%})"
+        # Acceptance: on the median pass the warm path is measurably
+        # faster than cold (warm p50 at most 80% of cold p50).
+        assert warm_speedup >= 1.0 / WARM_P50_CEILING, (
+            f"median warm-over-cold speedup {warm_speedup:.2f}x: warm p50 "
+            f"not measurably below cold p50 (ceiling {WARM_P50_CEILING:.0%})"
         )
         # Trajectory gate: ratios only, with the standard 20% band.
         baseline = load_baseline("service", "warm_speedup_p50")
@@ -246,6 +279,9 @@ RECOVERY_ORPHAN_JOBS = 2 if SMOKE else 8
 #: cheap and noisy at this scale -- the band is deliberately wide (the
 #: hard gate is completeness, not speed).
 RECOVERY_REGRESSION_FACTOR = 5.0
+#: Timed recoveries per run, each on its own state dir; the replay gate
+#: reads the median.
+RECOVERIES = 2 if SMOKE else 5
 
 RECOVERY_PAYLOAD = {
     "source": "A -1\nA B -5\n",
@@ -264,15 +300,18 @@ def _await_terminal_job(job, timeout_s=60.0):
     raise AssertionError(f"job {job.id} did not finish within {timeout_s}s")
 
 
-def test_recovery_replay_cost_and_completeness(tmp_path):
+def _recover_once(state_dir):
+    """Crash-and-recover one journaled service; returns its timings.
+
+    Every acknowledged job must reach ``done`` after the restart (the
+    hard gate); returns ``(replay_s, startup_s)``.
+    """
     import dataclasses
 
     from repro.service.app import AnnealingService
     from repro.service.jobs import JobRequest
     from repro.service.journal import JobJournal
 
-    faulthandler.dump_traceback_later(600.0, exit=True)
-    state_dir = str(tmp_path / "state")
     acknowledged = []
 
     # Phase 1: a real journaled service completes some jobs cleanly.
@@ -314,14 +353,12 @@ def test_recovery_replay_cost_and_completeness(tmp_path):
         startup_s = time.perf_counter() - start
         report = restarted.recovery_report
         assert report is not None
-        total = RECOVERY_TERMINAL_JOBS + RECOVERY_ORPHAN_JOBS
-        assert report.recovered_jobs == total
+        assert report.recovered_jobs == RECOVERY_TERMINAL_JOBS + RECOVERY_ORPHAN_JOBS
         assert report.terminal_jobs == RECOVERY_TERMINAL_JOBS
         assert report.requeued_jobs == RECOVERY_ORPHAN_JOBS
         assert report.quarantined_jobs == 0
 
         # Hard gate: every acknowledged job reaches done.
-        completed = 0
         for job_id in acknowledged:
             job = restarted.store.get(job_id)
             assert job is not None, f"acknowledged job {job_id} was lost"
@@ -330,36 +367,52 @@ def test_recovery_replay_cost_and_completeness(tmp_path):
                 f"acknowledged job {job_id} ended {snapshot['state']}: "
                 f"{snapshot.get('error')}"
             )
-            completed += 1
-        assert completed == total
-        replay_s = report.replay_s
     finally:
         clean = restarted.shutdown(drain=True, timeout_s=60.0)
-        faulthandler.cancel_dump_traceback_later()
     assert clean, "recovered service did not shut down cleanly"
+    return report.replay_s, startup_s
 
-    replay_ms_per_job = replay_s * 1000.0 / total
+
+def test_recovery_replay_cost_and_completeness(tmp_path):
+    faulthandler.dump_traceback_later(600.0, exit=True)
+    try:
+        runs = [
+            _recover_once(str(tmp_path / f"state-{index}"))
+            for index in range(RECOVERIES)
+        ]
+    finally:
+        faulthandler.cancel_dump_traceback_later()
+
+    total = RECOVERY_TERMINAL_JOBS + RECOVERY_ORPHAN_JOBS
+    run_ms_per_job = [replay_s * 1000.0 / total for replay_s, _ in runs]
+    replay_s = statistics.median(replay_s for replay_s, _ in runs)
+    replay_ms_per_job = statistics.median(run_ms_per_job)
     results = read_results("service")
     previous = results.get("recovery") if not SMOKE else None
     results["recovery"] = {
         "smoke": SMOKE,
+        "recoveries": RECOVERIES,
         "terminal_jobs": RECOVERY_TERMINAL_JOBS,
         "orphan_jobs": RECOVERY_ORPHAN_JOBS,
         "recovered_jobs": total,
-        "completed_jobs": completed,
+        "completed_jobs": total,
+        # Medians over the recoveries; the gate reads replay_ms_per_job.
         "replay_s": replay_s,
         "replay_ms_per_job": replay_ms_per_job,
-        "startup_s": startup_s,
+        "startup_s": statistics.median(startup_s for _, startup_s in runs),
+        "run_replay_ms_per_job": run_ms_per_job,
     }
     print(
-        f"\nservice_recovery: {total} jobs recovered "
-        f"({RECOVERY_ORPHAN_JOBS} requeued) in {replay_s * 1000:.1f}ms "
-        f"({replay_ms_per_job:.2f}ms/job), 100% completed"
+        f"\nservice_recovery: {RECOVERIES} recoveries of {total} jobs "
+        f"({RECOVERY_ORPHAN_JOBS} requeued), median replay "
+        f"{replay_s * 1000:.1f}ms ({replay_ms_per_job:.2f}ms/job), "
+        f"100% completed"
     )
 
-    # Trajectory gate: wide band on replay cost per job (completeness
-    # above is the hard gate; this only catches order-of-magnitude
-    # regressions in the replay path).  Smoke runs never gate timing.
+    # Trajectory gate: wide band on the median replay cost per job
+    # (completeness above is the hard gate; this only catches
+    # order-of-magnitude regressions in the replay path).  Smoke runs
+    # never gate timing.
     if (
         previous
         and not previous.get("smoke")
@@ -367,8 +420,8 @@ def test_recovery_replay_cost_and_completeness(tmp_path):
     ):
         ceiling = previous["replay_ms_per_job"] * RECOVERY_REGRESSION_FACTOR
         assert replay_ms_per_job <= ceiling, (
-            f"journal replay regressed: {replay_ms_per_job:.2f}ms/job vs "
-            f"committed {previous['replay_ms_per_job']:.2f}ms/job "
+            f"journal replay regressed: median {replay_ms_per_job:.2f}ms/job "
+            f"vs committed {previous['replay_ms_per_job']:.2f}ms/job "
             f"(ceiling {ceiling:.2f}) -- investigate before refreshing "
             f"BENCH_service.json"
         )

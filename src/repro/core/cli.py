@@ -74,6 +74,7 @@ from typing import List, Optional
 
 from repro.core.compiler import CompileOptions, VerilogAnnealerCompiler
 from repro.core.faults import parse_fault_spec
+from repro.core.pipeline import format_pass_table
 from repro.solvers.machine import MachineProperties
 
 
@@ -433,7 +434,7 @@ def _run_command(args: argparse.Namespace) -> int:
 
     if not args.run:
         if args.time_passes:
-            print(program.stats.format_table(title="compile passes:"))
+            print(format_pass_table(program.stats, "compile passes:"))
         if args.stats or args.time_passes:
             return 0
         if args.emit == "qmasm":
@@ -512,9 +513,9 @@ def _run_command(args: argparse.Namespace) -> int:
         print(format_read_counts(result))
     if args.time_passes:
         print()
-        print(program.stats.format_table(title="compile passes:"))
+        print(format_pass_table(program.stats, "compile passes:"))
         print()
-        print(result.stats.format_table(title="run passes:"))
+        print(format_pass_table(result.stats, "run passes:"))
     if certify and result.certificate is not None:
         print(f"certificate: {result.certificate.summary()}")
         if not result.certificate.ok:

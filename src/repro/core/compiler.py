@@ -31,7 +31,7 @@ Typical use::
                           solver="sa", num_reads=1000)
     for solution in result.valid_solutions:
         print(solution.value_of("A"), solution.value_of("B"))
-    print(program.stats.format_table())   # per-stage timings
+    print(format_pass_table(program.stats))   # from repro.core.pipeline
 """
 
 from __future__ import annotations
@@ -87,23 +87,27 @@ class CompileOptions:
 
 @dataclass
 class CompiledProgram:
-    """All artifacts of one compilation, highest to lowest level."""
+    """All artifacts of one compilation, highest to lowest level.
+
+    The compile stages fill it in order, starting from the source and
+    options; a field stays None until its stage has run.
+    """
 
     verilog_source: str
-    elaborated: Netlist
-    netlist: Netlist
-    edif_text: str
-    qmasm_source: str
-    logical: LogicalProgram
+    options: CompileOptions = field(default_factory=CompileOptions)
+    elaborated: Optional[Netlist] = None
+    netlist: Optional[Netlist] = None
+    edif_text: Optional[str] = None
     #: The netlist as re-read from the EDIF text -- the exact netlist
     #: the QMASM source was generated from.  The round-trip renumbers
     #: internal nets, so anything that must agree with the QMASM
     #: variable names (result certification's gate replay in
     #: particular) has to use *this* netlist, not :attr:`netlist`.
     edif_netlist: Optional[Netlist] = None
-    options: CompileOptions = field(default_factory=CompileOptions)
+    qmasm_source: Optional[str] = None
+    logical: Optional[LogicalProgram] = None
     #: Per-stage wall times and artifact counters for this compilation.
-    stats: PipelineStats = field(default_factory=PipelineStats)
+    stats: PipelineStats = field(default_factory=dict)
 
     def simulator(self) -> NetlistSimulator:
         """A forward simulator over the final netlist (solution checking)."""
@@ -134,19 +138,6 @@ def _code_lines(text: str) -> int:
 # ----------------------------------------------------------------------
 # The compilation pipeline stages
 # ----------------------------------------------------------------------
-@dataclass
-class CompileArtifact:
-    """The artifact threaded through the compile stages, field by field."""
-
-    source: str
-    elaborated: Optional[Netlist] = None
-    netlist: Optional[Netlist] = None
-    edif_text: Optional[str] = None
-    edif_netlist: Optional[Netlist] = None
-    qmasm_source: Optional[str] = None
-    logical: Optional[LogicalProgram] = None
-
-
 def _netlist_counters(netlist: Netlist) -> Dict[str, float]:
     return dict(netlist.counters())
 
@@ -156,15 +147,15 @@ class ElaborateStage(Stage):
 
     name = "elaborate"
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         options: CompileOptions = context.options
         artifact.elaborated = elaborate(
-            artifact.source, top=options.top, parameters=options.parameters
+            artifact.verilog_source, top=options.top, parameters=options.parameters
         )
         artifact.netlist = artifact.elaborated
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         return _netlist_counters(artifact.netlist)
 
 
@@ -173,14 +164,14 @@ class OptimizeStage(Stage):
 
     name = "optimize"
 
-    def skip(self, artifact: CompileArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: CompiledProgram, context: PipelineContext) -> bool:
         return not context.options.run_optimizer
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         artifact.netlist = optimize(artifact.netlist)
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         return _netlist_counters(artifact.netlist)
 
 
@@ -189,14 +180,14 @@ class TechmapStage(Stage):
 
     name = "techmap"
 
-    def skip(self, artifact: CompileArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: CompiledProgram, context: PipelineContext) -> bool:
         return not context.options.run_techmap
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         artifact.netlist = techmap(artifact.netlist)
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         return _netlist_counters(artifact.netlist)
 
 
@@ -205,10 +196,10 @@ class UnrollStage(Stage):
 
     name = "unroll"
 
-    def skip(self, artifact: CompileArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: CompiledProgram, context: PipelineContext) -> bool:
         return not artifact.netlist.has_sequential()
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         options: CompileOptions = context.options
         if options.unroll_steps is None:
             raise ValueError(
@@ -224,7 +215,7 @@ class UnrollStage(Stage):
         context.add_counters(steps=options.unroll_steps)
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         return _netlist_counters(artifact.netlist)
 
 
@@ -233,11 +224,11 @@ class EmitEdifStage(Stage):
 
     name = "emit_edif"
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         artifact.edif_text = write_edif(artifact.netlist)
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         return {"edif_lines": len(artifact.edif_text.splitlines())}
 
 
@@ -247,11 +238,11 @@ class EdifRoundtripStage(Stage):
 
     name = "edif_roundtrip"
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         artifact.edif_netlist = read_edif(artifact.edif_text)
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         return _netlist_counters(artifact.edif_netlist)
 
 
@@ -260,11 +251,11 @@ class TranslateQmasmStage(Stage):
 
     name = "translate_qmasm"
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         artifact.qmasm_source = netlist_to_qmasm(artifact.edif_netlist)
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         return {"qmasm_lines": _code_lines(artifact.qmasm_source)}
 
 
@@ -273,11 +264,11 @@ class AssembleStage(Stage):
 
     name = "assemble"
 
-    def run(self, artifact: CompileArtifact, context: PipelineContext):
+    def run(self, artifact: CompiledProgram, context: PipelineContext):
         artifact.logical = assemble(parse_qmasm(artifact.qmasm_source))
         return artifact
 
-    def counters(self, artifact: CompileArtifact, context: PipelineContext):
+    def counters(self, artifact: CompiledProgram, context: PipelineContext):
         # "variables" is the Section 6.1 logical-variable count (distinct
         # spins after chain contraction), matching --stats; the raw QMASM
         # name count before contraction rides along separately.
@@ -384,21 +375,12 @@ class VerilogAnnealerCompiler:
                 span.set_attributes(cached=True)
                 return cached
 
-            context = PipelineContext(options=options, seed=self.seed)
-            artifact = PassManager(self.compile_stages, name="compile").run(
-                CompileArtifact(source=verilog_source), context
+            context = PipelineContext(options=options)
+            program = PassManager(self.compile_stages, name="compile").run(
+                CompiledProgram(verilog_source=verilog_source, options=options),
+                context,
             )
-            program = CompiledProgram(
-                verilog_source=verilog_source,
-                elaborated=artifact.elaborated,
-                netlist=artifact.netlist,
-                edif_text=artifact.edif_text,
-                qmasm_source=artifact.qmasm_source,
-                logical=artifact.logical,
-                edif_netlist=artifact.edif_netlist,
-                options=options,
-                stats=context.stats,
-            )
+            program.stats = context.stats
             self.compile_cache.put(cache_key, program)
             span.set_attributes(cached=False)
         return program
@@ -455,27 +437,18 @@ def compile_verilog(
 def run_verilog(
     verilog_source: str,
     pins: Sequence[str] = (),
-    solver: str = "sa",
-    num_reads: int = 200,
-    num_sweeps: Optional[int] = None,
-    max_workers: Optional[int] = None,
     seed: Optional[int] = None,
+    compile_options: Optional[CompileOptions] = None,
     **options,
 ) -> RunResult:
     """Compile and execute in one call (quickstart convenience).
 
-    ``num_sweeps`` sets the classical solvers' per-read sweep budget and
-    ``max_workers`` sizes the process pool for qbsolv reads and shard
-    rounds (bit-identical to serial); both default to the runner's
-    behavior when None.
+    ``compile_options`` controls the compilation; every other keyword
+    is a run option of :meth:`VerilogAnnealerCompiler.run`, with the
+    quickstart defaults ``solver="sa"`` and ``num_reads=200``.
     """
-    compiler = VerilogAnnealerCompiler(seed=seed)
-    program = compiler.compile(verilog_source, **options)
-    return compiler.run(
-        program,
-        pins=pins,
-        solver=solver,
-        num_reads=num_reads,
-        num_sweeps=num_sweeps,
-        max_workers=max_workers,
+    options.setdefault("solver", "sa")
+    options.setdefault("num_reads", 200)
+    return VerilogAnnealerCompiler(seed=seed).run(
+        verilog_source, pins=pins, compile_options=compile_options, **options
     )

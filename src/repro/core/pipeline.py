@@ -7,7 +7,7 @@ structure explicit: every lowering and execution step is a
 :class:`Stage` with a uniform ``run(artifact, context)`` interface, and
 a :class:`PassManager` drives an ordered stage list while recording, for
 every stage, wall time and artifact-size counters into a
-:class:`PipelineStats`.
+:class:`StageRecord`, keyed by stage name.
 
 The payoff is threefold:
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.core import trace as _trace
 from repro.core.deadline import Deadline
@@ -53,81 +53,44 @@ class StageRecord:
     skipped: bool = False
 
 
-class PipelineStats:
-    """Ordered per-stage records for one pipeline execution."""
+#: Per-stage records of one pipeline execution, keyed by stage name in
+#: execution order (``CompiledProgram.stats``, ``RunResult.stats``).
+PipelineStats = Dict[str, StageRecord]
 
-    def __init__(self) -> None:
-        self.records: List[StageRecord] = []
 
-    # -- collection ----------------------------------------------------
-    def record(self, record: StageRecord) -> None:
-        self.records.append(record)
+def format_pass_table(stats: PipelineStats, title: Optional[str] = None) -> str:
+    """An aligned, human-readable per-stage table.
 
-    # -- access --------------------------------------------------------
-    def __iter__(self) -> Iterator[StageRecord]:
-        return iter(self.records)
+    This is what ``--time-passes`` prints::
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __contains__(self, name: str) -> bool:
-        return any(r.name == name for r in self.records)
-
-    def __getitem__(self, name: str) -> StageRecord:
-        for record in self.records:
-            if record.name == name:
-                return record
-        raise KeyError(f"no stage {name!r} in pipeline stats")
-
-    def stage_names(self) -> List[str]:
-        return [r.name for r in self.records]
-
-    def executed_names(self) -> List[str]:
-        """Names of stages that actually ran (not skipped)."""
-        return [r.name for r in self.records if not r.skipped]
-
-    def total_time_s(self) -> float:
-        return sum(r.wall_time_s for r in self.records)
-
-    # -- rendering -----------------------------------------------------
-    def format_table(self, title: Optional[str] = None) -> str:
-        """An aligned, human-readable per-stage table.
-
-        This is what ``--time-passes`` prints::
-
-            stage             time      notes
-            elaborate         0.0021s   cells=13
-            ...
-            total             0.0214s
-        """
-        rows: List[tuple] = []
-        for record in self.records:
-            notes = []
-            if record.skipped:
-                notes.append("skipped")
-            if record.cached:
-                notes.append("cached")
-            notes.extend(
-                f"{key}={_format_count(value)}"
-                for key, value in record.counters.items()
-            )
-            rows.append((record.name, f"{record.wall_time_s:.4f}s", " ".join(notes)))
-        rows.append(("total", f"{self.total_time_s():.4f}s", ""))
-        name_w = max(len(r[0]) for r in rows)
-        time_w = max(len(r[1]) for r in rows)
-        lines = []
-        if title:
-            lines.append(title)
-        lines.append(f"{'stage':<{name_w}}  {'time':>{time_w}}  notes")
-        for name, elapsed, notes in rows:
-            lines.append(f"{name:<{name_w}}  {elapsed:>{time_w}}  {notes}".rstrip())
-        return "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return (
-            f"PipelineStats({len(self.records)} stages, "
-            f"{self.total_time_s():.4f}s)"
+        stage             time      notes
+        elaborate         0.0021s   cells=13
+        ...
+        total             0.0214s
+    """
+    rows: List[tuple] = []
+    for record in stats.values():
+        notes = []
+        if record.skipped:
+            notes.append("skipped")
+        if record.cached:
+            notes.append("cached")
+        notes.extend(
+            f"{key}={_format_count(value)}"
+            for key, value in record.counters.items()
         )
+        rows.append((record.name, f"{record.wall_time_s:.4f}s", " ".join(notes)))
+    total = sum(record.wall_time_s for record in stats.values())
+    rows.append(("total", f"{total:.4f}s", ""))
+    name_w = max(len(r[0]) for r in rows)
+    time_w = max(len(r[1]) for r in rows)
+    lines = []
+    if title:
+        lines.append(title)
+    lines.append(f"{'stage':<{name_w}}  {'time':>{time_w}}  notes")
+    for name, elapsed, notes in rows:
+        lines.append(f"{name:<{name_w}}  {elapsed:>{time_w}}  {notes}".rstrip())
+    return "\n".join(lines)
 
 
 def _format_count(value) -> str:
@@ -148,40 +111,24 @@ class PipelineContext:
         options: the driver's option object (:class:`CompileOptions` for
             compilation, a :class:`~repro.qmasm.runner.RunOptions` for
             execution).
-        seed: the driver's RNG seed, for stages with randomized behavior.
-        stats: the per-stage record sink stages record into.
+        deadline: optional :class:`~repro.core.deadline.Deadline` the
+            :class:`PassManager` enforces between stages (and stages
+            may thread into their samplers for cooperative
+            interruption).  None means unbounded.
+        stats: the per-stage records, keyed by stage name in execution
+            order.
         metrics: the run-scoped :class:`~repro.core.trace.MetricsRegistry`
             stages record counters into.  Parented to the ambient
             process registry, so every increment is visible both on this
             run's result and in the process-wide summary without ever
             being computed twice.
-        deadline: optional :class:`~repro.core.deadline.Deadline` the
-            :class:`PassManager` enforces between stages (and stages
-            may thread into their samplers for cooperative
-            interruption).  None means unbounded.
-        scratch: shared mutable storage for stage-to-stage side data
-            that is not part of the artifact proper (e.g. the lazily
-            constructed machine).
     """
 
-    def __init__(
-        self,
-        options: Any = None,
-        seed: Optional[int] = None,
-        stats: Optional[PipelineStats] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        deadline: Optional[Deadline] = None,
-    ):
+    def __init__(self, options: Any = None, deadline: Optional[Deadline] = None):
         self.options = options
-        self.seed = seed
         self.deadline = deadline
-        self.stats = stats if stats is not None else PipelineStats()
-        self.metrics = (
-            metrics
-            if metrics is not None
-            else MetricsRegistry(parent=_trace.metrics())
-        )
-        self.scratch: Dict[str, Any] = {}
+        self.stats: PipelineStats = {}
+        self.metrics = MetricsRegistry(parent=_trace.metrics())
         self._cached = False
         self._extra_counters: Dict[str, float] = {}
 
@@ -238,7 +185,8 @@ class PassManager:
 
     Stages that declare themselves inapplicable (``skip``) still get a
     record (with ``skipped=True``) so the stats table always shows the
-    full pipeline shape.
+    full pipeline shape.  Records are keyed by stage name, so a stage
+    list that repeats a name is a ``ValueError`` before any stage runs.
 
     Every stage additionally runs inside an ambient trace span named
     ``<pipeline>.<stage>`` (``compile.techmap``, ``run.sample``, ...)
@@ -249,6 +197,9 @@ class PassManager:
 
     def __init__(self, stages: Sequence[Stage], name: Optional[str] = None):
         self.stages: List[Stage] = list(stages)
+        names = [stage.name for stage in self.stages]
+        if len(set(names)) != len(names):
+            raise ValueError(f"stage names must be unique, got {names}")
         #: Span-name prefix for this pipeline ("compile", "run", ...).
         self.name = name
 
@@ -264,8 +215,8 @@ class PassManager:
                     )
                 if policy == "skip":
                     context.metrics.counter("deadline.stages_skipped").inc()
-                    context.stats.record(
-                        StageRecord(name=stage.name, skipped=True)
+                    context.stats[stage.name] = StageRecord(
+                        name=stage.name, skipped=True
                     )
                     continue
                 # policy == "run": proceed as normal.
@@ -283,13 +234,11 @@ class PassManager:
                 span.set_attributes(
                     cached=context._cached, skipped=skipped, **counters
                 )
-            context.stats.record(
-                StageRecord(
-                    name=stage.name,
-                    wall_time_s=elapsed,
-                    counters=counters,
-                    cached=context._cached,
-                    skipped=skipped,
-                )
+            context.stats[stage.name] = StageRecord(
+                name=stage.name,
+                wall_time_s=elapsed,
+                counters=counters,
+                cached=context._cached,
+                skipped=skipped,
             )
         return artifact

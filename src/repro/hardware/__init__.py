@@ -1,12 +1,12 @@
 """The annealer hardware model (Section 2 of the paper, generalized).
 
-- :mod:`repro.hardware.topology`: the pluggable topology layer -- a
+- :mod:`repro.hardware.topology`: the topology layer -- a
   :class:`~repro.hardware.topology.Topology` interface (working graph,
   coordinates, native-cell tiles, fingerprint) with Chimera (2000Q),
   Pegasus-style (Advantage), and Zephyr-style (Advantage2)
   implementations.
-- :mod:`repro.hardware.registry`: the name -> topology backend registry
-  every layer outside ``repro/hardware/`` goes through
+- :mod:`repro.hardware.registry`: the fixed name -> topology family
+  table every layer outside ``repro/hardware/`` goes through
   (``make_topology("chimera", size=16)``).
 - :mod:`repro.hardware.chimera`: the Chimera working graph -- a 2-D mesh
   of 8-qubit bipartite unit cells (Figure 1); a 2000Q is a C16 (16 x 16
@@ -35,7 +35,6 @@ from repro.hardware.embedding import (
 from repro.hardware.registry import (
     available_topologies,
     make_topology,
-    register_topology,
 )
 from repro.hardware.scaling import H_RANGE, J_RANGE, scale_to_hardware, quantize
 from repro.hardware.topology import (
@@ -53,7 +52,6 @@ __all__ = [
     "ZephyrTopology",
     "available_topologies",
     "make_topology",
-    "register_topology",
     "chimera_graph",
     "coupler_dropout",
     "dropout",

@@ -3,18 +3,16 @@
 The single place the rest of the codebase turns a topology *name* into
 a topology *object*.  Layers outside ``repro/hardware/`` never import
 :mod:`repro.hardware.chimera` directly (a guard test enforces it); they
-call :func:`make_topology`, which keeps the hardware family pluggable:
+call :func:`make_topology`:
 
     >>> topo = make_topology("pegasus", size=6)
     >>> topo.num_qubits
     680
 
-Registering a new family takes one call::
-
-    register_topology("mytopo", MyTopology, default_size=8)
-
-where the factory accepts ``(size, tile)`` keyword arguments (``tile``
-may be ignored by families with a fixed cell shape, as Pegasus does).
+The families form one fixed table, ``_FAMILIES``.  Adding a family is
+one row: its name, a factory accepting ``(size, tile)`` keyword
+arguments (``tile`` may be ignored by families with a fixed cell shape,
+as Pegasus does), and its full-chip default size.
 """
 
 from __future__ import annotations
@@ -31,44 +29,36 @@ from repro.hardware.topology import (
 __all__ = [
     "available_topologies",
     "make_topology",
-    "register_topology",
     "resolve_family",
 ]
 
-#: name -> (factory(size, tile) -> Topology, default size).
-_REGISTRY: Dict[str, Tuple[Callable[..., Topology], int]] = {}
+
+def _chimera(size: int, tile: Optional[int] = None) -> ChimeraTopology:
+    return ChimeraTopology(size, t=4 if tile is None else tile)
 
 
-def register_topology(
-    name: str,
-    factory: Callable[..., Topology],
-    default_size: int,
-    overwrite: bool = False,
-) -> None:
-    """Register a topology family under ``name``.
+def _pegasus(size: int, tile: Optional[int] = None) -> PegasusTopology:
+    # Pegasus cells are fixed 12-line blocks; `tile` is accepted for
+    # factory-signature uniformity but has no free parameter.
+    return PegasusTopology(size)
 
-    Args:
-        name: registry key (what ``--topology`` accepts).
-        factory: callable accepting ``size`` and ``tile`` keyword
-            arguments and returning a :class:`Topology`.
-        default_size: the size used when the caller passes none (the
-            "full chip" of the family).
-        overwrite: allow replacing an existing registration.
 
-    Raises:
-        ValueError: on duplicate names without ``overwrite``.
-    """
-    key = name.strip().lower()
-    if not key:
-        raise ValueError("topology name must be non-empty")
-    if key in _REGISTRY and not overwrite:
-        raise ValueError(f"topology {key!r} is already registered")
-    _REGISTRY[key] = (factory, default_size)
+def _zephyr(size: int, tile: Optional[int] = None) -> ZephyrTopology:
+    return ZephyrTopology(size, t=4 if tile is None else tile)
+
+
+#: name -> (factory(size, tile) -> Topology, full-chip default size):
+#: C16 (2000Q), P16 (Advantage), Z15 (Advantage2).
+_FAMILIES: Dict[str, Tuple[Callable[..., Topology], int]] = {
+    "chimera": (_chimera, 16),
+    "pegasus": (_pegasus, 16),
+    "zephyr": (_zephyr, 15),
+}
 
 
 def available_topologies() -> Tuple[str, ...]:
-    """The registered family names, sorted."""
-    return tuple(sorted(_REGISTRY))
+    """The family names, sorted."""
+    return tuple(sorted(_FAMILIES))
 
 
 def resolve_family(name: str) -> str:
@@ -85,9 +75,9 @@ def resolve_family(name: str) -> str:
     key = str(name).strip().lower()
     if not key:
         raise KeyError("empty topology family name")
-    if key in _REGISTRY:
+    if key in _FAMILIES:
         return key
-    matches = [family for family in sorted(_REGISTRY) if family.startswith(key)]
+    matches = [family for family in sorted(_FAMILIES) if family.startswith(key)]
     if len(matches) == 1:
         return matches[0]
     if matches:
@@ -106,10 +96,10 @@ def make_topology(
     size: Optional[int] = None,
     tile: Optional[int] = None,
 ) -> Topology:
-    """Instantiate a registered topology.
+    """Instantiate a topology family.
 
     Args:
-        name: a registered family name (case-insensitive).
+        name: a family name (case-insensitive).
         size: the family size parameter (Chimera/Pegasus ``m``, Zephyr
             ``m``); None picks the family's full-chip default.
         tile: cell tile parameter for families that have one (Chimera
@@ -120,30 +110,10 @@ def make_topology(
     """
     key = str(name).strip().lower()
     try:
-        factory, default_size = _REGISTRY[key]
+        factory, default_size = _FAMILIES[key]
     except KeyError:
         raise KeyError(
             f"unknown topology {name!r}; available: "
             f"{', '.join(available_topologies())}"
         ) from None
     return factory(size=default_size if size is None else size, tile=tile)
-
-
-def _chimera(size: int, tile: Optional[int] = None) -> ChimeraTopology:
-    return ChimeraTopology(size, t=4 if tile is None else tile)
-
-
-def _pegasus(size: int, tile: Optional[int] = None) -> PegasusTopology:
-    # Pegasus cells are fixed 12-line blocks; `tile` is accepted for
-    # factory-signature uniformity but has no free parameter.
-    return PegasusTopology(size)
-
-
-def _zephyr(size: int, tile: Optional[int] = None) -> ZephyrTopology:
-    return ZephyrTopology(size, t=4 if tile is None else tile)
-
-
-#: Full-chip defaults: C16 (2000Q), P16 (Advantage), Z15 (Advantage2).
-register_topology("chimera", _chimera, default_size=16)
-register_topology("pegasus", _pegasus, default_size=16)
-register_topology("zephyr", _zephyr, default_size=15)

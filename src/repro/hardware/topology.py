@@ -1,4 +1,4 @@
-"""Pluggable annealer topologies: Chimera, Pegasus-style, Zephyr-style.
+"""Annealer topologies: Chimera, Pegasus-style, Zephyr-style.
 
 The paper targets one fixed device -- a D-Wave 2000Q whose C16 Chimera
 graph caps every workload -- but nothing in the toolchain above the
@@ -27,10 +27,11 @@ The Pegasus/Zephyr builders reproduce the published family parameters
 numbering; they are untrimmed-nominal models of the *family*, not
 serializations of a specific calibrated chip.
 
-Concrete chips are obtained through :mod:`repro.hardware.registry`
-(``make_topology("pegasus", size=16)``); everything outside
-``repro/hardware/`` goes through that registry rather than importing
-:mod:`repro.hardware.chimera` directly (a guard test enforces this).
+Concrete chips are obtained through the fixed family table in
+:mod:`repro.hardware.registry` (``make_topology("pegasus", size=16)``);
+everything outside ``repro/hardware/`` goes through that table rather
+than importing :mod:`repro.hardware.chimera` directly (a guard test
+enforces this).
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ Terminal-friendly views of what the place-and-route step did: which
 native cells (topology tiles) an embedding occupies, how long each
 chain is, and a Figure-1-style close-up of a single Chimera unit cell.
 Useful when debugging embeddings or explaining the §6.1 qubit-count
-numbers.  The occupancy map works for any registered topology via its
+numbers.  The occupancy map works for any topology family via its
 :meth:`~repro.hardware.topology.Topology.tile_of` scheme; passing
 ``rows``/``columns``/``tile`` keeps the historical Chimera-only
 signature working.

@@ -159,7 +159,7 @@ class RunResult:
     #: None when certification was not requested.
     certificate: Optional[Certificate] = None
     #: Per-stage wall times and counters for this execution.
-    stats: PipelineStats = field(default_factory=PipelineStats)
+    stats: PipelineStats = field(default_factory=dict)
     #: The run-scoped metrics registry: every retry/fallback/escalation
     #: counter the run recorded, queryable by name
     #: (``result.metrics.value("runner.sample_retries")``).
@@ -377,10 +377,17 @@ class RunArtifact:
     representative: Dict[str, str]
     solve_model: IsingModel
     fixed: Dict[str, int] = field(default_factory=dict)
+    #: The machine the embedding targets; set by ``find_embedding``.
+    machine: Optional[DWaveSimulator] = None
     embedding: Optional[Embedding] = None
     physical_model: Optional[IsingModel] = None
     scaled_model: Optional[IsingModel] = None
     sampleset: Optional[SampleSet] = None
+    #: The tier whose reads the sample set holds (``"dwave"`` or a
+    #: classical solver); None until ``sample`` has run.
+    answered_by: Optional[str] = None
+    #: The last transient hardware error the retry policy gave up on.
+    last_error: Optional[Exception] = None
     certificate: Optional[Certificate] = None
     info: Dict = field(default_factory=dict)
 
@@ -430,8 +437,7 @@ class FindEmbeddingStage(Stage):
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
         policy = options.retry_policy
-        machine = self._runner._get_machine()
-        context.scratch["machine"] = machine
+        machine = artifact.machine = self._runner._get_machine()
         source_graph = source_graph_of(artifact.solve_model)
         seed = (
             self._runner.seed
@@ -486,11 +492,10 @@ class ScaleToHardwareStage(Stage):
         return not _needs_embedding(artifact, context)
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
-        machine = context.scratch["machine"]
         artifact.physical_model = embed_ising(
             artifact.solve_model,
             artifact.embedding,
-            machine.working_graph,
+            artifact.machine.working_graph,
             chain_strength=None,
         )
         artifact.scaled_model, factor = scale_to_hardware(artifact.physical_model)
@@ -544,27 +549,26 @@ class SampleStage(Stage):
         solver = options.solver
         num_reads = options.num_reads
         model = artifact.solve_model
-        context.scratch.setdefault("answered_by", None)
 
         if len(model) == 0:
             # Everything was determined a priori.
             artifact.sampleset = SampleSet.empty([])
+            artifact.answered_by = solver
         elif solver == "dwave":
-            machine = context.scratch["machine"]
             raw = self._runner._sample_with_retry(
-                machine, artifact.scaled_model, options, context
+                artifact, artifact.scaled_model, options, context
             )
             if raw is not None:
                 artifact.info["timing"] = raw.info.get("timing", {})
                 artifact.sampleset = raw
-                context.scratch["answered_by"] = "dwave"
+                artifact.answered_by = "dwave"
             else:
                 self._fall_back(artifact, context)
         else:
             artifact.sampleset = self._runner._classical_sample(
                 solver, model, options, deadline=context.deadline
             )
-            context.scratch["answered_by"] = solver
+            artifact.answered_by = solver
         if len(model):
             # sqa, qbsolv and shard cap their reads (32, 10 and 5): the
             # caller sees the effective count, not just the request.
@@ -602,7 +606,7 @@ class SampleStage(Stage):
         options: RunOptions = context.options
         policy = options.retry_policy
         model = artifact.solve_model
-        last_error: Optional[Exception] = context.scratch.get("last_error")
+        last_error = artifact.last_error
         for depth, tier in enumerate(policy.fallback_solvers, start=1):
             if tier == "exact" and len(model) > policy.exact_fallback_limit:
                 continue
@@ -613,7 +617,7 @@ class SampleStage(Stage):
             except Exception as exc:  # a broken tier just deepens the fall
                 last_error = exc
                 continue
-            context.scratch["answered_by"] = tier
+            artifact.answered_by = tier
             context.metrics.gauge("runner.fallback_depth").set(depth)
             context.metrics.counter("runner.fallbacks").inc()
             _trace.event("runner.fallback", tier=tier, depth=depth)
@@ -671,7 +675,7 @@ class UnembedStage(Stage):
             return True
         # A classical fallback tier answered over the *logical* model;
         # there is nothing embedded to undo.
-        return context.scratch.get("answered_by") not in (None, "dwave")
+        return artifact.answered_by not in (None, "dwave")
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
@@ -700,26 +704,16 @@ class UnembedStage(Stage):
                 break_fraction=break_fraction,
             )
             chain_strength *= policy.chain_strength_factor
-            machine = context.scratch["machine"]
-            physical = embed_ising(
-                artifact.solve_model,
-                artifact.embedding,
-                machine.working_graph,
-                chain_strength=chain_strength,
+            annealed = self._runner._anneal_embedded(
+                artifact, chain_strength, options, context
             )
-            scaled, factor = scale_to_hardware(physical)
-            raw = self._runner._sample_with_retry(
-                machine, scaled, options, context
-            )
-            if raw is None:
+            if annealed is None:
                 break  # machine went away mid-escalation: keep what we have
-            artifact.physical_model = physical
-            artifact.scaled_model = scaled
+            unembedded, artifact.physical_model, artifact.scaled_model, factor = (
+                annealed
+            )
             artifact.info["scale_factor"] = factor
             artifact.info["chain_strength"] = chain_strength
-            unembedded = unembed_sampleset(
-                raw, artifact.embedding, artifact.solve_model
-            )
             break_fraction = unembedded.info.get("chain_break_fraction", 0.0)
 
         context.metrics.histogram("runner.chain_break_fraction").observe(
@@ -757,7 +751,7 @@ class PostprocessStage(Stage):
             options.solver != "dwave"
             # Fallback tiers already sample the logical model directly;
             # there are no unembedding artifacts to repair.
-            or context.scratch.get("answered_by") not in (None, "dwave")
+            or artifact.answered_by not in (None, "dwave")
             or options.postprocess != "optimization"
             or len(artifact.solve_model) == 0
             or not len(artifact.sampleset)
@@ -799,20 +793,20 @@ class CorruptReadsStage(Stage):
     deadline_policy = "run"
 
     def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
-        machine = context.scratch.get("machine")
+        machine = artifact.machine
         faults = machine.faults if machine is not None else None
         return (
             faults is None
             or not faults.spec.read_corruption_rate
             or artifact.sampleset is None
             or not len(artifact.sampleset)
-            or context.scratch.get("answered_by") not in (None, "dwave")
+            or artifact.answered_by not in (None, "dwave")
         )
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         from repro.solvers import kernels
 
-        faults = context.scratch["machine"].faults
+        faults = artifact.machine.faults
         sampleset = artifact.sampleset
         model = artifact.solve_model
         meaningful = np.array(
@@ -862,6 +856,23 @@ class CorruptReadsStage(Stage):
         }
 
 
+def _certify(artifact: RunArtifact, options: RunOptions) -> Certificate:
+    """Certify every read of the artifact's sample set.
+
+    The verdict replaces ``artifact.certificate``, so later repair
+    rounds see this round's certificate, not the pre-repair one.
+    """
+    artifact.certificate = certify_sampleset(
+        artifact.sampleset,
+        artifact.logical,
+        artifact.representative,
+        artifact.solve_model,
+        fixed=artifact.fixed,
+        netlist=options.netlist,
+    )
+    return artifact.certificate
+
+
 class CertifyStage(Stage):
     """Recompute energies and replay the netlist for every read."""
 
@@ -874,16 +885,7 @@ class CertifyStage(Stage):
         return not context.options.certify or artifact.sampleset is None
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
-        options: RunOptions = context.options
-        certificate = certify_sampleset(
-            artifact.sampleset,
-            artifact.logical,
-            artifact.representative,
-            artifact.solve_model,
-            fixed=artifact.fixed,
-            netlist=options.netlist,
-        )
-        artifact.certificate = certificate
+        certificate = _certify(artifact, context.options)
         metrics = context.metrics
         metrics.counter("certify.reads_total").inc(certificate.total_reads)
         metrics.counter("certify.reads_certified").inc(
@@ -956,20 +958,6 @@ class RepairStage(Stage):
         reads_before = certificate.certified_reads
         rounds = polished = resamples = dropped = 0
 
-        def recertify() -> Certificate:
-            fresh = certify_sampleset(
-                artifact.sampleset,
-                artifact.logical,
-                artifact.representative,
-                artifact.solve_model,
-                fixed=artifact.fixed,
-                netlist=options.netlist,
-            )
-            # Later rounds (and _resample) must see *this* round's
-            # verdict, not the pre-repair one.
-            artifact.certificate = fresh
-            return fresh
-
         with _trace.span(
             "certify.repair", uncertified=len(certificate.uncertified_rows())
         ):
@@ -985,7 +973,7 @@ class RepairStage(Stage):
                     metrics.counter("runner.repair_resamples").inc()
                     if not self._resample(artifact, context, round_index=rounds):
                         break  # backend gave nothing new: stop burning budget
-                    certificate = recertify()
+                    certificate = _certify(artifact, options)
                     if certificate.ok:
                         break
                 bad_rows = certificate.uncertified_rows()
@@ -1000,7 +988,7 @@ class RepairStage(Stage):
                     max_sweeps=policy.repair_polish_sweeps,
                     deadline=deadline,
                 )
-                certificate = recertify()
+                certificate = _certify(artifact, options)
                 _trace.event(
                     "certify.repair_round",
                     round=rounds,
@@ -1024,7 +1012,7 @@ class RepairStage(Stage):
                     sampleset.occurrences[keep],
                     dict(sampleset.info),
                 )
-                certificate = recertify()
+                certificate = _certify(artifact, options)
 
         repaired = max(0, certificate.certified_reads - reads_before)
         if repaired:
@@ -1056,28 +1044,18 @@ class RepairStage(Stage):
             options,
             num_reads=max(1, int(options.num_reads * policy.repair_read_factor)),
         )
-        answered_by = context.scratch.get("answered_by")
+        answered_by = artifact.answered_by
 
         if answered_by == "dwave" and artifact.embedding is not None:
-            machine = context.scratch["machine"]
             chain_strength = default_chain_strength(artifact.solve_model) * (
                 policy.chain_strength_factor ** (round_index - 1)
             )
-            physical = embed_ising(
-                artifact.solve_model,
-                artifact.embedding,
-                machine.working_graph,
-                chain_strength=chain_strength,
+            annealed = self._runner._anneal_embedded(
+                artifact, chain_strength, escalated, context
             )
-            scaled, _factor = scale_to_hardware(physical)
-            raw = self._runner._sample_with_retry(
-                machine, scaled, escalated, context
-            )
-            if raw is None:
+            if annealed is None:
                 return False
-            fresh = unembed_sampleset(
-                raw, artifact.embedding, artifact.solve_model
-            )
+            fresh = annealed[0]
         else:
             solver = answered_by or options.solver
             if solver == "dwave":  # nothing embedded to resample against
@@ -1203,15 +1181,16 @@ class QmasmRunner:
     # ------------------------------------------------------------------
     def _sample_with_retry(
         self,
-        machine: DWaveSimulator,
+        artifact: RunArtifact,
         model: IsingModel,
         options: "RunOptions",
         context: PipelineContext,
     ) -> Optional[SampleSet]:
-        """Sample on the machine under the retry policy.
+        """Sample on the artifact's machine under the retry policy.
 
         Returns ``None`` when every attempt failed transiently (the
-        caller decides whether to fall back); permanent errors (range
+        caller decides whether to fall back; the last error lands on
+        ``artifact.last_error``); permanent errors (range
         violations, topology mismatches) propagate immediately.  Each
         retry runs under one fresh random spin-reversal gauge, so a
         flaky machine's successful retries also decorrelate its analog
@@ -1228,7 +1207,7 @@ class QmasmRunner:
                 metrics.counter("runner.sample_retries").inc()
                 _trace.event("runner.retry", attempt=attempt)
             try:
-                return machine.sample_ising(
+                return artifact.machine.sample_ising(
                     model,
                     num_reads=options.num_reads,
                     annealing_time_us=options.annealing_time_us,
@@ -1238,8 +1217,37 @@ class QmasmRunner:
             except TransientSolverError as exc:
                 last_error = exc
                 metrics.counter("runner.sample_failures").inc()
-        context.scratch["last_error"] = last_error
+        artifact.last_error = last_error
         return None
+
+    def _anneal_embedded(
+        self,
+        artifact: RunArtifact,
+        chain_strength: float,
+        options: RunOptions,
+        context: PipelineContext,
+    ) -> Optional[Tuple[SampleSet, IsingModel, IsingModel, float]]:
+        """Re-anneal the embedded problem at ``chain_strength``.
+
+        Builds the physical model over the artifact's embedding, scales
+        it into machine range, samples it under the retry policy and
+        unembeds the reads.  Returns ``(unembedded, physical, scaled,
+        scale_factor)``, or ``None`` when the machine gave no answer.
+        """
+        physical = embed_ising(
+            artifact.solve_model,
+            artifact.embedding,
+            artifact.machine.working_graph,
+            chain_strength=chain_strength,
+        )
+        scaled, factor = scale_to_hardware(physical)
+        raw = self._sample_with_retry(artifact, scaled, options, context)
+        if raw is None:
+            return None
+        unembedded = unembed_sampleset(
+            raw, artifact.embedding, artifact.solve_model
+        )
+        return unembedded, physical, scaled, factor
 
     def _classical_sample(
         self,
@@ -1340,16 +1348,7 @@ class QmasmRunner:
         )
         fields = kernels.init_local_fields(h_vec, indptr, indices, data, spins)
         flip = kernels.make_mixed_flip_updater(chosen, indptr, indices, data)
-        for _ in range(max_sweeps):
-            if deadline is not None and deadline.expired():
-                break
-            gains = 2.0 * spins * fields
-            best = np.argmax(gains, axis=1)
-            descending = np.arange(len(spins))
-            improving = gains[descending, best] > 1e-12
-            if not improving.any():
-                break
-            flip(spins, fields, descending[improving], best[improving])
+        kernels.steepest_descent(spins, fields, flip, max_sweeps, deadline)
 
         # Scatter the polished spins back into sample-set column order.
         inverse = [order.index(v) for v in sampleset.variables]
@@ -1411,11 +1410,7 @@ class QmasmRunner:
             if deadline is None or isinstance(deadline, Deadline)
             else Deadline(float(deadline))
         )
-        context = PipelineContext(
-            options=options,
-            seed=self.seed,
-            deadline=run_deadline,
-        )
+        context = PipelineContext(options=options, deadline=run_deadline)
         artifact = RunArtifact(
             logical=logical,
             logical_model=logical_model,
@@ -1449,22 +1444,21 @@ class QmasmRunner:
             info["certificate"] = artifact.certificate.summary()
         info["wall_time_s"] = sum(
             record.wall_time_s
-            for record in context.stats
+            for record in context.stats.values()
             if record.name in _WALL_TIME_STAGES
         )
         info["roof_duality_fixed"] = len(artifact.fixed)
-        if "answered_by" in context.scratch:
-            info["answered_by"] = context.scratch["answered_by"] or solver
+        if artifact.answered_by is not None:
+            info["answered_by"] = artifact.answered_by
             summary = {}
             for key in _RESILIENCE_COUNTERS:
                 value = int(context.metrics.value(f"runner.{key}"))
                 if value:  # zeros are omitted: quiet runs stay quiet
                     summary[key] = value
-            last_error = context.scratch.get("last_error")
-            if last_error is not None:
-                summary["last_error"] = str(last_error)
+            if artifact.last_error is not None:
+                summary["last_error"] = str(artifact.last_error)
             info["resilience"] = summary
-        machine = context.scratch.get("machine")
+        machine = artifact.machine
         if machine is not None and machine.faults is not None:
             info["fault_injection"] = machine.faults.counters()
         solutions = self._report(

@@ -70,6 +70,10 @@ CRASH_STAGE_ENV = "REPRO_SERVICE_CRASH_STAGE"
 
 #: Submission cap on Idempotency-Key length.
 MAX_IDEMPOTENCY_KEY_LEN = 256
+#: Bound on tracked (tenant, Idempotency-Key) pairs; oldest dropped.
+MAX_IDEMPOTENCY_KEYS = 4096
+#: Request-body bound, in bytes.
+MAX_BODY_BYTES = 2_000_000
 
 
 def _payload_fingerprint(payload: Any) -> str:
@@ -109,20 +113,12 @@ class ServiceConfig:
     topology_size: Optional[int] = None
     #: Simulated fleet size for shard jobs.
     machines: int = 4
-    #: Request-body bound.
-    max_body_bytes: int = 2_000_000
     #: Directory for the write-ahead job journal; None keeps all job
     #: state in memory (a crash loses queued/in-flight jobs).
     state_dir: Optional[str] = None
     #: Replay the journal on startup (re-enqueue orphans, restore
     #: terminal results).  Only meaningful with ``state_dir``.
     recover: bool = True
-    #: A job whose journaled attempts reach this count with no terminal
-    #: record crashed the worker that many times: quarantine it on
-    #: recovery instead of re-enqueueing it into a crash loop.
-    quarantine_after: int = 2
-    #: Bound on tracked (tenant, Idempotency-Key) pairs; oldest dropped.
-    max_idempotency_keys: int = 4096
 
 
 class AnnealingService:
@@ -247,7 +243,7 @@ class AnnealingService:
         with self._idempotency_lock:
             self._idempotency[(tenant, key)] = (job_id, fingerprint)
             self._idempotency.move_to_end((tenant, key))
-            while len(self._idempotency) > self.config.max_idempotency_keys:
+            while len(self._idempotency) > MAX_IDEMPOTENCY_KEYS:
                 self._idempotency.popitem(last=False)
 
     def _idempotency_lookup(
@@ -633,9 +629,9 @@ class AnnealingService:
 def _stage_payload(
     pipeline: str, stats, cached: bool = False
 ) -> List[Dict[str, Any]]:
-    """PipelineStats -> JSON-safe per-stage records for the trace view."""
+    """Stage records -> JSON-safe per-stage records for the trace view."""
     records = []
-    for record in stats:
+    for record in stats.values():
         records.append(
             {
                 "pipeline": pipeline,
@@ -702,11 +698,11 @@ class _Handler(BaseHTTPRequestHandler):
             raise ServiceError(400, "invalid_request", "bad Content-Length")
         if length <= 0:
             raise ServiceError(400, "invalid_request", "request body required")
-        if length > self.service.config.max_body_bytes:
+        if length > MAX_BODY_BYTES:
             raise ServiceError(
                 413,
                 "payload_too_large",
-                f"request body exceeds {self.service.config.max_body_bytes} bytes",
+                f"request body exceeds {MAX_BODY_BYTES} bytes",
             )
         return self.rfile.read(length)
 

@@ -12,10 +12,11 @@ three buckets:
   it is re-enqueued through the exact same deterministic pipeline.
   Because the seed was materialized and journaled at accept time, the
   replayed result is bit-identical to the run the crash interrupted.
-* **poison** -- a job whose ``running`` count reached the quarantine
-  threshold with no terminal record: it crashed the worker process that
-  many times, and re-enqueueing it would crash-loop the service.  It is
-  finished as a structured ``quarantined`` error instead.
+* **poison** -- a job whose ``running`` count reached
+  :data:`QUARANTINE_AFTER` with no terminal record: it crashed the
+  worker process that many times, and re-enqueueing it would
+  crash-loop the service.  It is finished as a structured
+  ``quarantined`` error instead.
 
 After the rebuild the journal is *compacted* -- rewritten (atomically)
 to just the accept/terminal pairs of the jobs actually retained -- so
@@ -41,6 +42,11 @@ logger = logging.getLogger(__name__)
 #: into the dedup map: the submission never actually ran, so a client
 #: retry with the same key *should* re-run it.
 _NON_BINDING_ERRORS = frozenset({"queue_full", "shutdown_pending"})
+
+#: A job whose journaled attempts reach this count with no terminal
+#: record crashed the worker that many times: quarantine it on recovery
+#: instead of re-enqueueing it into a crash loop.
+QUARANTINE_AFTER = 2
 
 
 @dataclass
@@ -78,7 +84,7 @@ def _request_from_record(record: Dict[str, Any]) -> JobRequest:
     return JobRequest(**fields_)
 
 
-def _rebuild_job(ledger, quarantine_after: int) -> Tuple[Job, str]:
+def _rebuild_job(ledger) -> Tuple[Job, str]:
     """One ledger -> (job, bucket); bucket in {terminal, requeue, poison}."""
     accept = ledger.accept
     job = Job(
@@ -101,7 +107,7 @@ def _rebuild_job(ledger, quarantine_after: int) -> Tuple[Job, str]:
         job.finished_s = terminal.get("finished_s", terminal.get("ts"))
         job.attempts = max(job.attempts, int(terminal.get("attempts", 0)))
         return job, "terminal"
-    if ledger.attempts >= quarantine_after:
+    if ledger.attempts >= QUARANTINE_AFTER:
         return job, "poison"
     job.state = JobState.QUEUED
     return job, "requeue"
@@ -130,7 +136,7 @@ def recover(service: "AnnealingService") -> Tuple[List[Job], RecoveryReport]:
             # compaction horizon: nothing to rebuild from.
             report.torn_records += 1
             continue
-        job, bucket = _rebuild_job(ledger, service.config.quarantine_after)
+        job, bucket = _rebuild_job(ledger)
         accepts[job.id] = ledger.accept
         service._bind_journal(job)
         service.store.restore(job)

@@ -50,7 +50,7 @@ from __future__ import annotations
 import re
 from collections import deque
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -74,7 +74,6 @@ __all__ = [
     "FleetMachine",
     "Fleet",
     "parse_fleet_spec",
-    "make_fleet",
     "modeled_latency_us",
 ]
 
@@ -477,34 +476,6 @@ class Fleet:
         self.redispatches = 0
         self.fallbacks = 0
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def homogeneous(
-        cls,
-        properties: MachineProperties,
-        count: int,
-        policy: Optional[HealthPolicy] = None,
-        faults: Optional[FaultSpec] = None,
-    ) -> "Fleet":
-        if count < 1:
-            raise ValueError("machines must be >= 1")
-        return cls([properties] * count, policy=policy, faults=faults)
-
-    @classmethod
-    def from_spec(
-        cls,
-        spec: str,
-        template: Optional[MachineProperties] = None,
-        policy: Optional[HealthPolicy] = None,
-        faults: Optional[FaultSpec] = None,
-    ) -> "Fleet":
-        """Build a (possibly heterogeneous) fleet from ``"C16,P8,Z6"``."""
-        return cls(
-            parse_fleet_spec(spec, template=template),
-            policy=policy,
-            faults=faults,
-        )
-
     def __len__(self) -> int:
         return len(self.machines)
 
@@ -680,7 +651,7 @@ def parse_fleet_spec(
     """Parse ``"C16,P8,Z6"`` into per-machine properties.
 
     Each comma-separated token names a topology family -- by its
-    registered name (``chimera16``), any unambiguous prefix, or its
+    full name (``chimera16``), any unambiguous prefix, or its
     single-letter code (``C``/``P``/``Z``) -- followed by an optional
     size (``C16`` = Chimera with ``m=16``; no size picks the family's
     flagship chip).  One token is one machine, so ``"C4,C4,C4,C4"`` is
@@ -723,32 +694,3 @@ def parse_fleet_spec(
     if not machines:
         raise ValueError("fleet spec names no machines")
     return machines
-
-
-def make_fleet(
-    fleet: Union["Fleet", str, Sequence[MachineProperties], None],
-    properties: Optional[MachineProperties] = None,
-    machines: int = 4,
-    policy: Optional[HealthPolicy] = None,
-    faults: Optional[FaultSpec] = None,
-) -> "Fleet":
-    """Normalize the shard solver's ``fleet`` argument into a Fleet.
-
-    ``None`` builds the classic homogeneous fleet of ``machines``
-    copies of ``properties``; a string goes through
-    :func:`parse_fleet_spec` (with ``properties`` as the template); a
-    sequence of properties is taken as-is; an existing :class:`Fleet`
-    passes through untouched (its own policy/faults win).
-    """
-    if isinstance(fleet, Fleet):
-        return fleet
-    template = properties or MachineProperties()
-    if fleet is None:
-        return Fleet.homogeneous(
-            template, machines, policy=policy, faults=faults
-        )
-    if isinstance(fleet, str):
-        return Fleet.from_spec(
-            fleet, template=template, policy=policy, faults=faults
-        )
-    return Fleet(list(fleet), policy=policy, faults=faults)

@@ -74,20 +74,9 @@ class SteepestDescentSolver:
         start = time.perf_counter()
         fields = kernels.init_local_fields(h_vec, indptr, indices, data, spins)
         flip = kernels.make_mixed_flip_updater(chosen, indptr, indices, data)
-        interrupted = False
-        for _ in range(max_sweeps):
-            if deadline is not None and deadline.expired():
-                interrupted = True
-                break
-            # Energy change of each candidate flip; positive s*field
-            # means flipping lowers the energy by 2*s*field.
-            gains = 2.0 * spins * fields
-            best = np.argmax(gains, axis=1)
-            rows = np.arange(len(spins))
-            improving = gains[rows, best] > 1e-12
-            if not improving.any():
-                break
-            flip(spins, fields, rows[improving], best[improving])
+        interrupted = kernels.steepest_descent(
+            spins, fields, flip, max_sweeps, deadline
+        )
 
         elapsed = time.perf_counter() - start
         info = {"solver": "steepest-descent", "kernel": chosen}

@@ -62,6 +62,8 @@ DENSE_BATCH_CROSSOVER_VARIABLES = 2048
 #: A flip updater: ``flip(spins, fields, i, rows)`` negates column ``i``
 #: of ``spins`` at ``rows`` and updates ``fields`` incrementally.
 FlipUpdater = Callable[[np.ndarray, np.ndarray, int, np.ndarray], None]
+#: A mixed flip updater, ``flip(spins, fields, rows, cols)``.
+MixedFlipUpdater = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
 
 def choose_kernel(
     num_variables: int,
@@ -185,7 +187,6 @@ def make_flip_updater(
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
-    dense_j: Optional[np.ndarray] = None,
 ) -> FlipUpdater:
     """Build the per-column flip updater for a tier.
 
@@ -196,13 +197,12 @@ def make_flip_updater(
     list (``x - 0.0 == x`` exactly).
     """
     if kernel == DENSE:
-        if dense_j is None:
-            dense_j = densify(len(indptr) - 1, indptr, indices, data)
+        j_mat = densify(len(indptr) - 1, indptr, indices, data)
 
         def flip(spins, fields, i, rows):
             old = spins[rows, i]
             spins[rows, i] = -old
-            fields[rows, :] -= (2.0 * old)[:, None] * dense_j[i][None, :]
+            fields[rows, :] -= (2.0 * old)[:, None] * j_mat[i][None, :]
 
         return flip
     if kernel != SPARSE:
@@ -225,8 +225,7 @@ def make_mixed_flip_updater(
     indptr: np.ndarray,
     indices: np.ndarray,
     data: np.ndarray,
-    dense_j: Optional[np.ndarray] = None,
-) -> Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]:
+) -> MixedFlipUpdater:
     """Flip updater where every row flips its *own* column.
 
     ``flip(spins, fields, rows, cols)`` flips ``spins[rows[k],
@@ -234,13 +233,12 @@ def make_mixed_flip_updater(
     read picks a different best flip per sweep.
     """
     if kernel == DENSE:
-        if dense_j is None:
-            dense_j = densify(len(indptr) - 1, indptr, indices, data)
+        j_mat = densify(len(indptr) - 1, indptr, indices, data)
 
         def flip(spins, fields, rows, cols):
             old = spins[rows, cols]
             spins[rows, cols] = -old
-            fields[rows, :] -= (2.0 * old)[:, None] * dense_j[cols, :]
+            fields[rows, :] -= (2.0 * old)[:, None] * j_mat[cols, :]
 
         return flip
     if kernel != SPARSE:
@@ -266,12 +264,15 @@ def make_mixed_flip_updater(
 DEADLINE_SWEEP_BATCH = 16
 
 
-def metropolis_sweeps(
+def run_metropolis_sweeps(
     rng: np.random.Generator,
     spins: np.ndarray,
     fields: np.ndarray,
     betas: np.ndarray,
-    flip: FlipUpdater,
+    kernel: str,
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    data: np.ndarray,
     deadline=None,
     stats: Optional[dict] = None,
 ) -> int:
@@ -279,8 +280,9 @@ def metropolis_sweeps(
 
     One sweep per entry of ``betas``; each sweep proposes one flip per
     variable (in a fresh random permutation) simultaneously across every
-    read.  ``spins`` and ``fields`` are updated in place.  Returns the
-    number of accepted flips.
+    read.  ``spins`` and ``fields`` are updated in place through the
+    ``kernel`` tier's flip updater.  Returns the number of accepted
+    flips.
 
     The accept logic -- and therefore the RNG consumption pattern -- is
     the single definition shared by every kernel tier, which is what
@@ -299,6 +301,7 @@ def metropolis_sweeps(
             budget is bit-identical to an unbounded one.
         stats: optional dict; receives ``sweeps_completed``.
     """
+    flip = make_flip_updater(kernel, indptr, indices, data)
     n = spins.shape[1]
     num_reads = spins.shape[0]
     accepted = 0
@@ -329,25 +332,33 @@ def metropolis_sweeps(
     return accepted
 
 
-def run_metropolis_sweeps(
-    rng: np.random.Generator,
+def steepest_descent(
     spins: np.ndarray,
     fields: np.ndarray,
-    betas: np.ndarray,
-    kernel: str,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    dense_j: Optional[np.ndarray] = None,
+    flip: MixedFlipUpdater,
+    max_sweeps: int,
     deadline=None,
-    stats: Optional[dict] = None,
-) -> int:
-    """Tier dispatcher for a full Metropolis anneal.
+) -> bool:
+    """Greedy single-spin-flip descent over a batch of reads, in place.
 
-    Builds the tier's flip updater and runs the shared loop; results
-    are bit-identical across tiers for the same rng state.
+    Each sweep flips, in every read that can still improve, the spin
+    whose flip lowers that read's energy most (``flip`` is a
+    :func:`make_mixed_flip_updater` updater), until no read improves or
+    ``max_sweeps`` sweeps have run.  Consumes no randomness.
+
+    Returns True when ``deadline`` expired before the descent finished
+    (checked once per sweep; the reads may not yet be local minima).
     """
-    flip = make_flip_updater(kernel, indptr, indices, data, dense_j)
-    return metropolis_sweeps(
-        rng, spins, fields, betas, flip, deadline=deadline, stats=stats
-    )
+    for _ in range(max_sweeps):
+        if deadline is not None and deadline.expired():
+            return True
+        # Energy change of each candidate flip; positive s*field
+        # means flipping lowers the energy by 2*s*field.
+        gains = 2.0 * spins * fields
+        best = np.argmax(gains, axis=1)
+        rows = np.arange(len(spins))
+        improving = gains[rows, best] > 1e-12
+        if not improving.any():
+            break
+        flip(spins, fields, rows[improving], best[improving])
+    return False

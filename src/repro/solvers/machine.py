@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import networkx as nx
 import numpy as np
@@ -86,10 +86,10 @@ class DWaveSimulator:
     (``properties.topology``, resolved through
     :mod:`repro.hardware.registry` -- Chimera by default) minus
     seeded-random qubit/coupler drop-out, minus any explicitly listed
-    dead qubits and couplers, minus whatever an attached
-    :class:`~repro.core.faults.FaultInjector` kills.  A ``faults``
-    argument additionally arms transient failures: sample calls may
-    raise :class:`~repro.core.faults.TransientSolverError` (failed
+    dead qubits and couplers, minus whatever the yield clauses of the
+    ``faults`` :class:`~repro.core.faults.FaultSpec` kill.  The spec
+    additionally arms transient failures: sample calls may raise
+    :class:`~repro.core.faults.TransientSolverError` (failed
     programming cycles, timeouts) and reads may come back with flipped
     spins, exactly the degraded behavior a serving fleet must absorb.
     """
@@ -98,7 +98,7 @@ class DWaveSimulator:
         self,
         properties: Optional[MachineProperties] = None,
         seed: Optional[int] = None,
-        faults: Optional[Union[FaultSpec, FaultInjector]] = None,
+        faults: Optional[FaultSpec] = None,
     ):
         self.properties = properties or MachineProperties()
         props = self.properties
@@ -124,7 +124,7 @@ class DWaveSimulator:
                 [(u, v) for u, v in props.dead_couplers if graph.has_edge(u, v)]
             )
         self.faults: Optional[FaultInjector] = (
-            FaultInjector(faults) if isinstance(faults, FaultSpec) else faults
+            FaultInjector(faults) if faults is not None else None
         )
         if self.faults is not None and self.faults.spec.has_yield_faults:
             graph = self.faults.degrade(graph, topology=self.topology)

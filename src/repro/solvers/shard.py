@@ -38,10 +38,11 @@ shard -- or a region embeds on no machine class -- the shard runs on
 the local tabu fallback with its pre-drawn seed (``shard.fallback``
 event): the fleet degrades, it does not fail.
 
-Checkpoint/resume: given a :class:`~repro.core.cache.CheckpointCache`,
-the solver persists its full state -- completed reads, the in-progress
-read's incumbent, the parent RNG state, and the fleet's health/breaker
-state -- after every stitch round, through the cache's crash-safe
+Checkpoint/resume: given a checkpoint directory (a
+:class:`~repro.core.cache.CheckpointCache` on disk), the solver
+persists its full state -- completed reads, the in-progress read's
+incumbent, the parent RNG state, and the fleet's health/breaker state
+-- after every stitch round, through the cache's crash-safe
 write-temp/fsync/rename disk tier.  ``resume=True`` picks up from the
 last completed round bit-identically to the run that was killed.
 
@@ -58,7 +59,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -88,8 +89,8 @@ from repro.solvers.fleet import (
     Fleet,
     FleetMachine,
     HealthPolicy,
-    make_fleet,
     modeled_latency_us,
+    parse_fleet_spec,
 )
 from repro.solvers.greedy import SteepestDescentSolver
 from repro.solvers.machine import DWaveSimulator, MachineProperties
@@ -188,19 +189,19 @@ class ShardSolver:
         embedding_seed: seed for the per-region minor embedder.
         max_workers: default pool width (None -> fleet size); 1 forces
             serial execution, which is bit-identical.
-        fleet: an explicit fleet -- a :class:`~repro.solvers.fleet.Fleet`,
-            a spec string like ``"C16,P8,Z6"``, or a sequence of
-            per-machine :class:`MachineProperties`.  ``None`` builds
-            the classic homogeneous fleet.
+        fleet: a fleet spec string like ``"C16,P8,Z6"``
+            (:func:`~repro.solvers.fleet.parse_fleet_spec`, with
+            ``properties`` as the template); ``None`` builds the
+            homogeneous fleet of ``machines`` copies of ``properties``.
         faults: machine-level chaos -- a
             :class:`~repro.core.faults.FaultSpec` (or spec string) whose
             ``machine_crash``/``machine_straggler``/``machine_flaky``
             clauses drive the deterministic fault plan.
         health_policy: quarantine thresholds
             (:class:`~repro.solvers.fleet.HealthPolicy`).
-        checkpoint: a :class:`~repro.core.cache.CheckpointCache` (or a
-            directory path for one) to persist per-round state through;
-            ``None`` disables checkpointing.
+        checkpoint: directory of the
+            :class:`~repro.core.cache.CheckpointCache` that per-round
+            state persists through; ``None`` disables checkpointing.
         resume: look for a checkpoint of this exact run (same model,
             config, seeds, fleet, faults) and continue from it.
     """
@@ -217,10 +218,10 @@ class ShardSolver:
         seed: Optional[int] = None,
         embedding_seed: int = 0,
         max_workers: Optional[int] = None,
-        fleet: Union[Fleet, str, Sequence[MachineProperties], None] = None,
+        fleet: Optional[str] = None,
         faults: Union[FaultSpec, str, None] = None,
         health_policy: Optional[HealthPolicy] = None,
-        checkpoint: Union[CheckpointCache, str, None] = None,
+        checkpoint: Optional[str] = None,
         resume: bool = False,
     ):
         if fleet is None and machines < 1:
@@ -229,13 +230,10 @@ class ShardSolver:
             faults = parse_fault_spec(faults)
         self.faults = faults
         template = properties or MachineProperties()
-        self.fleet = make_fleet(
-            fleet,
-            properties=template,
-            machines=machines,
-            policy=health_policy,
-            faults=faults,
+        members = (
+            parse_fleet_spec(fleet, template) if fleet is not None else [template] * machines
         )
+        self.fleet = Fleet(members, policy=health_policy, faults=faults)
         self.machines = len(self.fleet)
         #: Primary machine class: attribution default and fallback-job
         #: properties.  Homogeneous fleets keep the old single-template
@@ -266,9 +264,9 @@ class ShardSolver:
         # structure): one embedding per class serves every round, every
         # read, and every machine of that class.
         self._embedding_cache: Dict[Tuple, Optional[Embedding]] = {}
-        if isinstance(checkpoint, str):
-            checkpoint = CheckpointCache(cache_dir=checkpoint)
-        self._checkpoint = checkpoint
+        self._checkpoint = (
+            CheckpointCache(cache_dir=checkpoint) if checkpoint is not None else None
+        )
         self.resume = bool(resume)
         self._rounds_executed = 0
         self._shards_dispatched = 0

@@ -35,7 +35,6 @@ class TabuSampler:
         self,
         model: IsingModel,
         num_reads: int = 10,
-        tenure: Optional[int] = None,
         max_iter: int = 2000,
         kernel: Optional[str] = None,
         deadline=None,
@@ -45,8 +44,6 @@ class TabuSampler:
         Args:
             model: the Ising model to minimize.
             num_reads: independent restarts, each contributing one row.
-            tenure: tabu tenure (iterations a flipped variable stays
-                frozen); defaults to ``min(20, n // 4 + 1)``.
             max_iter: flip iterations per restart.
             kernel: ``"dense"``/``"sparse"`` to force a field-update
                 tier; None picks by model size and density with an
@@ -70,8 +67,9 @@ class TabuSampler:
         # The search flips single rows, so the batch width is 1 no
         # matter how many restarts run.
         chosen = kernels.choose_kernel(n, len(indices), kernel, num_reads=1)
-        if tenure is None:
-            tenure = min(20, n // 4 + 1)
+        # Tabu tenure: a flipped variable stays frozen for up to this
+        # many iterations.
+        tenure = min(20, n // 4 + 1)
 
         start = time.perf_counter()
         # All restarts drawn and field-initialized in one batched pass;

@@ -51,7 +51,7 @@ AND_PROGRAM = "!include <stdcell>\n!use_macro AND g\n"
 
 
 def _stage(stats, name):
-    return next(rec for rec in stats.records if rec.name == name)
+    return stats[name]
 
 
 def _small_machine(faults=None, cells=4, seed=0):

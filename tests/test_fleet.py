@@ -35,7 +35,6 @@ from repro.solvers.fleet import (
     HealthPolicy,
     MachineFaultPlan,
     MachineHealth,
-    make_fleet,
     modeled_latency_us,
     parse_fleet_spec,
 )
@@ -275,17 +274,15 @@ class TestFleetSpec:
         with pytest.raises(ValueError):
             parse_fleet_spec("  ,  ,")  # names no machines
 
-    def test_make_fleet_normalization(self):
-        homogeneous = make_fleet(None, properties=SMALL_CHIP, machines=3)
+    def test_shard_solver_fleet_from_machines_or_spec(self):
+        homogeneous = ShardSolver(properties=SMALL_CHIP, machines=3).fleet
         assert len(homogeneous) == 3
-        spec = make_fleet("C2,P2", properties=SMALL_CHIP)
+        assert all(m.properties == SMALL_CHIP for m in homogeneous)
+        spec = ShardSolver(properties=SMALL_CHIP, fleet="C2,P2").fleet
         assert [m.properties.topology for m in spec] == ["chimera", "pegasus"]
-        explicit = make_fleet([SMALL_CHIP, SMALL_CHIP])
-        assert len(explicit) == 2
-        assert make_fleet(explicit) is explicit
 
     def test_machine_labels_and_class_keys(self):
-        fleet = make_fleet("C2,C2,P2", properties=SMALL_CHIP)
+        fleet = Fleet(parse_fleet_spec("C2,C2,P2", template=SMALL_CHIP))
         assert fleet.labels() == ["m0:chimera2", "m1:chimera2", "m2:pegasus2"]
         assert fleet.machines[0].class_key == fleet.machines[1].class_key
         assert fleet.machines[0].class_key != fleet.machines[2].class_key
@@ -307,7 +304,7 @@ class TestFleetPolicy:
     def _fleet(self, count=3, **policy):
         kwargs = dict(min_samples=2, cooldown_rounds=1)
         kwargs.update(policy)
-        return Fleet.homogeneous(SMALL_CHIP, count, policy=HealthPolicy(**kwargs))
+        return Fleet([SMALL_CHIP] * count, policy=HealthPolicy(**kwargs))
 
     def test_failure_rate_trips_breaker(self):
         fleet = self._fleet()
@@ -369,8 +366,8 @@ class TestFleetPolicy:
         assert events and events[0]["machine"] == machine.label
 
     def test_state_dict_round_trips_everything(self):
-        fleet = Fleet.homogeneous(
-            SMALL_CHIP, 2,
+        fleet = Fleet(
+            [SMALL_CHIP] * 2,
             policy=HealthPolicy(min_samples=2),
             faults=parse_fault_spec("machine_flaky=0:50%,seed=3"),
         )
@@ -378,8 +375,8 @@ class TestFleetPolicy:
         fleet.record_success(fleet.machines[0], 50.0, 0.1, 0.0)
         fleet.record_failure(fleet.machines[1], kind="crash", reason="crash")
         fleet.redispatches = 4
-        restored = Fleet.homogeneous(
-            SMALL_CHIP, 2,
+        restored = Fleet(
+            [SMALL_CHIP] * 2,
             policy=HealthPolicy(min_samples=2),
             faults=parse_fault_spec("machine_flaky=0:50%,seed=3"),
         )

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.ising.model import IsingModel
+from repro.qmasm.runner import QmasmRunner
 from repro.solvers import kernels
+from repro.solvers.greedy import SteepestDescentSolver
 from repro.solvers.neal import SimulatedAnnealingSampler
+from repro.solvers.sampleset import SampleSet
 from repro.solvers.sqa import PathIntegralAnnealer
 
 
@@ -219,6 +222,22 @@ def test_run_metropolis_sweeps_deadline_contract(kernel):
         num_sweeps=kernels.DEADLINE_SWEEP_BATCH * 3,
     )
     np.testing.assert_array_equal(spins, ref_spins)
+
+
+@pytest.mark.parametrize("n, tier", [(20, "dense"), (80, "sparse")])
+def test_polish_rows_matches_steepest_descent(n, tier):
+    """Repair's row polish and the greedy solver share one descent loop."""
+    model = _ring_model(n, chords=[(0, n // 2), (3, n - 5)])
+    starts = np.random.default_rng(11).choice([-1, 1], size=(8, n))
+    rough = SampleSet.from_array(list(model.variables), starts, model)
+    greedy = SteepestDescentSolver().sample(model, initial_states=rough.records)
+    assert greedy.info["kernel"] == tier
+    polished = QmasmRunner()._polish_rows(
+        model, rough, range(len(rough)), max_sweeps=1000
+    )
+    assert not np.array_equal(polished.records, rough.records)
+    np.testing.assert_array_equal(polished.records, greedy.records)
+    np.testing.assert_array_equal(polished.energies, greedy.energies)
 
 
 # ----------------------------------------------------------------------

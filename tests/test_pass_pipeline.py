@@ -20,9 +20,9 @@ from repro.core.cli import main
 from repro.core.pipeline import (
     PassManager,
     PipelineContext,
-    PipelineStats,
     Stage,
     StageRecord,
+    format_pass_table,
 )
 from repro.hardware.embedding import graph_fingerprint
 from repro.qmasm.runner import QmasmRunner
@@ -74,7 +74,7 @@ def fresh_compiler():
 
 
 # ----------------------------------------------------------------------
-# PassManager / PipelineStats mechanics
+# PassManager / stage-record mechanics
 # ----------------------------------------------------------------------
 class _Doubler(Stage):
     name = "double"
@@ -84,6 +84,10 @@ class _Doubler(Stage):
 
     def counters(self, artifact, context):
         return {"value": artifact}
+
+
+class _DoubleAgain(_Doubler):
+    name = "double_again"
 
 
 class _SkipMe(Stage):
@@ -96,13 +100,32 @@ class _SkipMe(Stage):
         raise AssertionError("skipped stage must not run")
 
 
+def _executed(stats):
+    return [name for name, record in stats.items() if not record.skipped]
+
+
 def test_pass_manager_runs_stages_in_order():
     context = PipelineContext()
-    result = PassManager([_Doubler(), _SkipMe(), _Doubler()]).run(3, context)
+    result = PassManager([_Doubler(), _SkipMe(), _DoubleAgain()]).run(3, context)
     assert result == 12
-    assert context.stats.stage_names() == ["double", "skipped_stage", "double"]
-    assert context.stats.executed_names() == ["double", "double"]
-    assert context.stats.records[1].skipped
+    assert list(context.stats) == ["double", "skipped_stage", "double_again"]
+    assert _executed(context.stats) == ["double", "double_again"]
+    assert context.stats["skipped_stage"].skipped
+
+
+def test_pass_manager_rejects_a_repeated_name():
+    ran = []
+
+    class _Twice(Stage):
+        name = "double"
+
+        def run(self, artifact, context):
+            ran.append(self)
+            return artifact
+
+    with pytest.raises(ValueError, match="double"):
+        PassManager([_Twice(), _Twice()]).run(3, PipelineContext())
+    assert ran == []
 
 
 def test_pass_manager_records_counters_and_times():
@@ -116,10 +139,11 @@ def test_pass_manager_records_counters_and_times():
 
 
 def test_stats_format_table_lists_every_stage():
-    stats = PipelineStats()
-    stats.record(StageRecord("alpha", 0.25, {"cells": 7}))
-    stats.record(StageRecord("beta", 0.5, cached=True))
-    table = stats.format_table(title="passes:")
+    stats = {
+        "alpha": StageRecord("alpha", 0.25, {"cells": 7}),
+        "beta": StageRecord("beta", 0.5, cached=True),
+    }
+    table = format_pass_table(stats, "passes:")
     assert "passes:" in table
     assert "alpha" in table and "beta" in table
     assert "cells=7" in table
@@ -132,12 +156,12 @@ def test_stats_format_table_lists_every_stage():
 # ----------------------------------------------------------------------
 def test_compile_stats_cover_every_stage(fresh_compiler):
     program = fresh_compiler.compile(FIGURE_2A)
-    assert program.stats.stage_names() == COMPILE_STAGES
+    assert list(program.stats) == COMPILE_STAGES
     # Combinational design: everything but unroll actually runs.
-    assert program.stats.executed_names() == [
+    assert _executed(program.stats) == [
         s for s in COMPILE_STAGES if s != "unroll"
     ]
-    for record in program.stats:
+    for record in program.stats.values():
         assert record.wall_time_s >= 0.0
     assert program.stats["elaborate"].counters["cells"] > 0
     assert program.stats["emit_edif"].counters["edif_lines"] > 0
@@ -334,9 +358,9 @@ def test_failed_disk_write_cleans_up_temp_file(tmp_path, monkeypatch):
 def test_run_stats_cover_every_stage(fresh_compiler):
     program = fresh_compiler.compile(FIGURE_2A)
     result = fresh_compiler.run(program, solver="exact")
-    assert result.stats.stage_names() == RUN_STAGES
+    assert list(result.stats) == RUN_STAGES
     # Classical solver: only 'sample' runs, embedding stages skip.
-    assert result.stats.executed_names() == ["sample"]
+    assert _executed(result.stats) == ["sample"]
     assert result.stats["sample"].counters["samples"] == len(result.sampleset)
 
 

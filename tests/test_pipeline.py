@@ -116,6 +116,23 @@ def test_run_verilog_convenience():
     assert (best.value_of("a"), best.value_of("b"), best.value_of("c")) == (1, 1, 0)
 
 
+def test_run_verilog_passes_run_options_through():
+    result = run_verilog(
+        LISTING_5_CIRCSAT,
+        pins=["y := true"],
+        solver="exact",
+        certify=True,
+        seed=0,
+    )
+    assert result.certificate is not None
+    assert result.certificate.total_reads == len(result.sampleset)
+
+
+def test_run_verilog_rejects_unknown_keyword():
+    with pytest.raises(TypeError, match="bogus_option"):
+        run_verilog(LISTING_5_CIRCSAT, bogus_option=1)
+
+
 def test_compile_verilog_convenience():
     program = compile_verilog(FIGURE_2A, seed=0)
     assert program.statistics()["verilog_lines"] == 5

@@ -16,7 +16,6 @@ from repro.core.cache import CompilationCache, EmbeddingCache
 from repro.hardware.registry import (
     available_topologies,
     make_topology,
-    register_topology,
 )
 from repro.hardware.topology import (
     ChimeraTopology,
@@ -125,11 +124,6 @@ def test_make_topology_unknown_name_lists_available():
     with pytest.raises(KeyError) as excinfo:
         make_topology("kagome")
     assert "chimera" in str(excinfo.value)
-
-
-def test_register_topology_rejects_duplicates():
-    with pytest.raises(ValueError):
-        register_topology("chimera", lambda size, tile=None: ChimeraTopology(size), 16)
 
 
 # ----------------------------------------------------------------------
