@@ -1,27 +1,30 @@
-"""Sweep-kernel performance: the dense and sparse tiers.
+"""Sweep-kernel performance: the native, dense and sparse tiers.
 
 The paper's methodology (Section 5.4) amortizes overhead over thousands
 of reads, which only pays if each read is cheap.  This benchmark anneals
 the Section 6 map-coloring Hamiltonian, minor-embedded onto a pristine
 Chimera C16 (the 2000Q working graph, degree <= 6), at 1000 reads and
-times both kernel tiers:
+times all three kernel tiers:
 
 * ``dense``  -- the pre-kernel-refactor cost model (every flip updates
   all n local-field columns);
-* ``sparse`` -- the CSR neighbor-list kernel (flip cost O(deg)).
+* ``sparse`` -- the CSR neighbor-list kernel (flip cost O(deg));
+* ``native`` -- the same sweep as ``sparse`` in one C call per sweep,
+  with numpy still drawing each sweep's permutation and uniforms.
 
-The run times ``PAIRS`` pairs of anneals, one per tier, alternating
-which tier goes first, and gates on the median of the per-pair
-dense-over-sparse time ratios -- one slow run on a busy machine moves a
-single pair, not the verdict.  Every run's samples are asserted
-bit-identical to the first dense run's (the exactness criterion), and
-the median speedup of the sparse tier must be at least 5x.  The
-committed ``BENCH_kernels.json`` at the repo root is the **regression
-baseline**: a full run compares its median sparse-over-dense speedup
-against the stored one with a 20% tolerance band (absolute wall times
-are machine-specific, so only the ratio gates).  The file is
-rewritten only once every gate has passed, so a failing run never moves
-the baseline it is judged against (see ``_trajectory.py``).
+The run times ``ROUNDS`` rounds of anneals, one per tier, rotating
+which tier goes first, and gates on the medians of the per-round
+dense-over-sparse and sparse-over-native time ratios -- one slow run
+on a busy machine moves a single round, not the verdict.  Every run's
+samples, smoke runs included, are asserted bit-identical to the first
+dense run's (the exactness criterion).  The median sparse speedup must
+be at least 5x and the median native speedup over sparse at least
+2.5x.  The committed ``BENCH_kernels.json`` at the repo root is the
+**regression baseline**: a full run compares both median speedups
+against the stored ones with a 20% tolerance band (absolute wall times
+are machine-specific, so only the ratios gate).  The file is rewritten
+only once every gate has passed, so a failing run never moves the
+baseline it is judged against (see ``_trajectory.py``).
 
 Set ``REPRO_BENCH_SMOKE=1`` to run a scaled-down model (C8, 50 reads);
 smoke runs still check exactness but skip every timing gate, so CI
@@ -53,10 +56,15 @@ from _trajectory import SMOKE, gate_ratio, load_baseline, write_results
 CELLS = 8 if SMOKE else 16
 NUM_READS = 50 if SMOKE else 1000
 NUM_SWEEPS = 8 if SMOKE else 32
-#: Timed (dense, sparse) pairs; the gate reads their median ratio.
-PAIRS = 1 if SMOKE else 5
+#: Timed rounds (one anneal per tier each); the gates read their medians.
+ROUNDS = 1 if SMOKE else 5
+TIERS = (kernels.DENSE, kernels.SPARSE, kernels.NATIVE)
 #: Acceptance floor on this machine's own sparse-over-dense ratio.
 SPARSE_SPEEDUP_FLOOR = 5.0
+#: Acceptance floor on the native-over-sparse ratio.  numpy's per-sweep
+#: draw is about half of native time at this size; a run where the
+#: native tier did not run reads about 1x.
+NATIVE_SPEEDUP_FLOOR = 2.5
 
 
 def _embedded_mapcolor_model():
@@ -79,51 +87,74 @@ def _time_kernel(model, kernel):
     return time.perf_counter() - start, result
 
 
+def _assert_same_samples(reference, result):
+    # Exactness at scale, on every run: the tiers must be
+    # sample-for-sample interchangeable, not merely statistically
+    # equivalent.
+    np.testing.assert_array_equal(reference.records, result.records)
+    np.testing.assert_array_equal(reference.energies, result.energies)
+
+
 def test_kernel_tiers_speedup_on_embedded_mapcolor():
     logical, physical = _embedded_mapcolor_model()
     order, _, indptr, indices, _ = physical.to_csr()
     n = len(order)
     nnz = len(indices)
 
-    tiers = (kernels.DENSE, kernels.SPARSE)
-    timings = {tier: [] for tier in tiers}
+    timings = {tier: [] for tier in TIERS}
     reference = None
-    for pair in range(PAIRS):
-        for tier in tiers if pair % 2 == 0 else reversed(tiers):
+    for round_index in range(ROUNDS):
+        shift = round_index % len(TIERS)
+        for tier in TIERS[shift:] + TIERS[:shift]:
             elapsed, result = _time_kernel(physical, tier)
             timings[tier].append(elapsed)
-            # Exactness at scale, on every run: the tiers must be
-            # sample-for-sample interchangeable, not merely
-            # statistically equivalent.
             if reference is None:
                 reference = result
-            np.testing.assert_array_equal(reference.records, result.records)
-            np.testing.assert_array_equal(reference.energies, result.energies)
+            _assert_same_samples(reference, result)
+    # Auto-selection runs the native tier, with the same samples.
+    _, auto = _time_kernel(physical, None)
+    _assert_same_samples(reference, auto)
 
-    pair_ratios = [
-        dense / sparse if sparse > 0 else float("inf")
-        for dense, sparse in zip(timings[kernels.DENSE], timings[kernels.SPARSE])
-    ]
-    sparse_speedup = statistics.median(pair_ratios)
+    def ratios(slow, fast):
+        return [
+            s / f if f > 0 else float("inf")
+            for s, f in zip(timings[slow], timings[fast])
+        ]
+
+    round_ratios = {
+        "sparse_over_dense": ratios(kernels.DENSE, kernels.SPARSE),
+        "native_over_sparse": ratios(kernels.SPARSE, kernels.NATIVE),
+    }
+    sparse_speedup = statistics.median(round_ratios["sparse_over_dense"])
+    native_speedup = statistics.median(round_ratios["native_over_sparse"])
+    medians = {tier: statistics.median(timings[tier]) for tier in TIERS}
     print(
         f"\nkernel_perf: n={n} nnz={nnz} reads={NUM_READS} "
-        f"dense={statistics.median(timings[kernels.DENSE]):.3f}s "
-        f"sparse={statistics.median(timings[kernels.SPARSE]):.3f}s "
-        f"pair_ratios={[round(r, 2) for r in pair_ratios]} "
-        f"sparse_speedup={sparse_speedup:.1f}x (median of {PAIRS})"
+        + " ".join(f"{tier}={medians[tier]:.3f}s" for tier in TIERS)
+        + " round_ratios="
+        + str({k: [round(r, 2) for r in v] for k, v in round_ratios.items()})
+        + f" sparse_speedup={sparse_speedup:.1f}x"
+        f" native_speedup={native_speedup:.1f}x (medians of {ROUNDS})"
+        f" auto={auto.info['kernel']}"
     )
 
-    # The embedded problem must auto-select the sparse tier for wide
-    # read batches.
+    # The numpy crossover sends the embedded problem's wide read batches
+    # to the sparse tier; auto-selection runs native above it.
     assert kernels.choose_kernel(n, nnz, num_reads=NUM_READS) == kernels.SPARSE
+    assert auto.info["kernel"] == kernels.NATIVE
     if not SMOKE:
-        # Absolute floor on this machine.
+        # Absolute floors on this machine.
         assert sparse_speedup >= SPARSE_SPEEDUP_FLOOR, (
             f"median sparse kernel speedup {sparse_speedup:.2f}x below the "
-            f"{SPARSE_SPEEDUP_FLOOR}x acceptance floor (pair ratios "
-            f"{[round(r, 2) for r in pair_ratios]})"
+            f"{SPARSE_SPEEDUP_FLOOR}x acceptance floor (round ratios "
+            f"{[round(r, 2) for r in round_ratios['sparse_over_dense']]})"
         )
-        # Trajectory gate vs the committed baseline (ratios only --
+        assert native_speedup >= NATIVE_SPEEDUP_FLOOR, (
+            f"median native speedup over sparse {native_speedup:.2f}x below "
+            f"the {NATIVE_SPEEDUP_FLOOR}x acceptance floor (round ratios "
+            f"{[round(r, 2) for r in round_ratios['native_over_sparse']]})"
+        )
+        # Trajectory gates vs the committed baseline (ratios only --
         # wall times are machine-specific).
         baseline = load_baseline("kernels", "tiers")
         if baseline is not None:
@@ -133,10 +164,16 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
                 sparse_speedup,
                 baseline.get("speedup_sparse_over_dense"),
             )
+            gate_ratio(
+                "kernels",
+                "native-over-sparse speedup",
+                native_speedup,
+                baseline.get("speedup_native_over_sparse"),
+            )
 
     write_results("kernels", {
         "benchmark": "kernel_perf",
-        "version": 5,
+        "version": 6,
         "smoke": SMOKE,
         "problem": {
             "name": "australia-map-coloring",
@@ -149,14 +186,13 @@ def test_kernel_tiers_speedup_on_embedded_mapcolor():
         },
         "num_reads": NUM_READS,
         "num_sweeps": NUM_SWEEPS,
-        "pairs": PAIRS,
-        # Median wall time per tier, and each pair's dense/sparse ratio.
-        "tiers": {
-            kernels.DENSE: statistics.median(timings[kernels.DENSE]),
-            kernels.SPARSE: statistics.median(timings[kernels.SPARSE]),
-        },
-        "pair_ratios": pair_ratios,
+        "rounds": ROUNDS,
+        # Median wall time per tier, and each round's time ratios.
+        "tiers": medians,
+        "round_ratios": round_ratios,
         "speedup_sparse_over_dense": sparse_speedup,
-        "auto_kernel": kernels.choose_kernel(n, nnz, num_reads=NUM_READS),
+        "speedup_native_over_sparse": native_speedup,
+        # The tier an auto-selected anneal ran.
+        "auto_kernel": auto.info["kernel"],
         "samples_identical": True,
     })

@@ -17,9 +17,10 @@ this package provides the classical stand-ins:
   and the machine's timing, and delegates the physics to annealing.
 - :mod:`repro.solvers.csp` -- a constraint-propagation + backtracking
   solver standing in for MiniZinc/Chuffed (the Section 6.2 baseline).
-- :mod:`repro.solvers.kernels` -- the shared dense/sparse sweep
-  primitives every software annealer above runs on (bit-identical
-  backends, automatic density crossover).
+- :mod:`repro.solvers.kernels` -- the shared sweep primitives every
+  software annealer above runs on: a native Metropolis tier compiled
+  on first use, and dense/sparse numpy tiers with an automatic density
+  crossover, all bit-identical.
 """
 
 from repro.solvers.sampleset import Sample, SampleSet

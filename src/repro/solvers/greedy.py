@@ -59,6 +59,8 @@ class SteepestDescentSolver:
         n = len(order)
         if n == 0:
             return SampleSet.empty([])
+        if initial_states is None and num_reads < 1:
+            raise ValueError("num_reads must be positive")
         _, h_vec, indptr, indices, data = model.to_csr()
 
         if initial_states is not None:

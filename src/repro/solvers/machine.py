@@ -171,7 +171,8 @@ class DWaveSimulator:
                 the problem is mathematically unchanged but systematic
                 analog biases decorrelate across gauges.
             kernel: force the annealing core's sweep tier
-                (``"dense"``/``"sparse"``); None auto-selects.
+                (``"native"``/``"dense"``/``"sparse"``); None
+                auto-selects, taking ``native`` when it loads.
             deadline: optional :class:`~repro.core.deadline.Deadline`,
                 handed to the annealing core of every gauge batch.
                 Interrupted anneals return whatever sweeps completed

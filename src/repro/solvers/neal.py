@@ -11,8 +11,10 @@ Implementation notes:
   shared sweep kernels in :mod:`repro.solvers.kernels`: a single
   spin-flip proposal is O(num_reads) to evaluate, and the field update
   is O(num_reads * n) on the dense kernel or O(num_reads * degree) on
-  the sparse kernel.  Embedded problems (Chimera degree <= 6) pick the
-  sparse kernel automatically.
+  the sparse and native kernels.  The native tier (one C call per
+  sweep) runs whenever its library loads; otherwise the dense/sparse
+  crossover picks a numpy tier, and embedded problems (Chimera degree
+  <= 6) take the sparse one.  Every tier returns the same samples.
 - The temperature follows a geometric beta schedule whose default range
   is derived from the model's coefficient magnitudes, mirroring neal's
   heuristic: hot enough to accept the worst single flip with probability
@@ -78,10 +80,12 @@ class SimulatedAnnealingSampler:
                 range derived from the coefficients.
             initial_states: optional (num_reads, n) spin matrix (values
                 strictly in {-1, +1}) to start from instead of uniform
-                random states.
-            kernel: ``"dense"``/``"sparse"`` to force a sweep tier;
-                None picks by model size, density, and read-batch width
-                (:func:`repro.solvers.kernels.choose_kernel`).
+                random states; any memory order.
+            kernel: ``"native"``/``"dense"``/``"sparse"`` to force a
+                sweep tier; None takes ``native`` when its library loads
+                and otherwise picks by model size, density, and
+                read-batch width
+                (:func:`repro.solvers.kernels.choose_metropolis_kernel`).
             deadline: optional :class:`~repro.core.deadline.Deadline`;
                 the sweep loop stops cooperatively at sweep-batch
                 granularity when it expires (never raises).  A short run
@@ -99,9 +103,13 @@ class SimulatedAnnealingSampler:
             return SampleSet.empty([])
         if num_reads < 1:
             raise ValueError("num_reads must be positive")
+        if num_sweeps < 1:
+            raise ValueError("num_sweeps must be positive")
 
         _, h_vec, indptr, indices, data = model.to_csr()
-        chosen = kernels.choose_kernel(n, len(indices), kernel, num_reads=num_reads)
+        chosen = kernels.choose_metropolis_kernel(
+            n, len(indices), kernel, num_reads=num_reads
+        )
         if beta_range is None:
             beta_range = default_beta_range(model)
         beta_hot, beta_cold = beta_range
@@ -123,7 +131,9 @@ class SimulatedAnnealingSampler:
                     "initial_states must contain only +/-1 spins, "
                     f"found {offender!r}"
                 )
-            spins = raw.astype(float)
+            # C order whatever the caller's layout: the native tier
+            # walks each read's row in place.
+            spins = raw.astype(float, order="C")
         else:
             spins = self._rng.choice([-1.0, 1.0], size=(num_reads, n))
 

@@ -96,6 +96,8 @@ class PathIntegralAnnealer:
             return SampleSet.empty([])
         if num_reads < 1:
             raise ValueError("num_reads must be positive")
+        if num_sweeps < 1:
+            raise ValueError("num_sweeps must be positive")
         if trotter_slices < 2:
             raise ValueError("trotter_slices must be >= 2")
         if temperature <= 0:

@@ -125,6 +125,20 @@ def figure2_program(compiler):
     return compiler.compile(FIGURE_2A)
 
 
+def require_native_tier() -> None:
+    """Skip the calling test unless the native Metropolis tier loads here.
+
+    ``tests/test_kernels.py::test_native_tier_loads_when_cc_is_present``
+    fails, rather than skips, when a compiler exists but the tier did
+    not load, so a host with ``cc`` cannot skip these silently.
+    """
+    from repro.solvers import kernels
+
+    reason = kernels.native_unavailable_reason()
+    if reason is not None:
+        pytest.skip(f"native tier unavailable: {reason}")
+
+
 @pytest.fixture()
 def triangle_model() -> IsingModel:
     """A frustrated 3-spin antiferromagnet (6 degenerate ground states)."""

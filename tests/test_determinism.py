@@ -3,10 +3,10 @@
 Three invariants, per the sparse-kernel acceptance criteria:
 
 1. a fixed seed yields bit-identical SampleSets across runs;
-2. the dense and sparse sweep kernels are sample-for-sample identical
-   (they share the accept logic and per-sweep RNG draw order; the
-   dense field update only adds exact zeros where the sparse one
-   touches nothing);
+2. the native, dense and sparse sweep kernels are sample-for-sample
+   identical (they share the accept logic and per-sweep RNG draw
+   order; the dense field update only adds exact zeros where the
+   sparse one touches nothing);
 3. ``max_workers > 1`` (process-pool qbsolv reads / shard rounds) is
    bit-identical to serial, because every seed is drawn in the parent
    RNG before dispatch.
@@ -16,12 +16,14 @@ import numpy as np
 import pytest
 
 from repro.ising.model import IsingModel
+from repro.solvers import kernels
 from repro.solvers.greedy import SteepestDescentSolver
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 from repro.solvers.neal import SimulatedAnnealingSampler
 from repro.solvers.qbsolv import QBSolv
 from repro.solvers.sqa import PathIntegralAnnealer
 from repro.solvers.tabu import TabuSampler
+from tests.conftest import require_native_tier
 
 
 def _sparse_model(n=80, seed=7):
@@ -82,17 +84,21 @@ def test_kernel_tiers_identical(name, kernel):
 
 
 def test_auto_kernel_selects_sparse_on_embedded_scale_model():
-    # Wide read batches at embedded scale leave the dense einsum's
-    # comfort zone; narrow ones (num_reads <= DENSE_MAX_BATCH_READS)
-    # stay dense because the batched row update amortizes poorly.
-    wide = SimulatedAnnealingSampler(seed=0).sample(
-        _sparse_model(), num_reads=8, num_sweeps=5
-    )
-    assert wide.info["kernel"] == "sparse"
-    narrow = SimulatedAnnealingSampler(seed=0).sample(
-        _sparse_model(), num_reads=2, num_sweeps=5
-    )
-    assert narrow.info["kernel"] == "dense"
+    # Auto simulated annealing runs the native tier whenever it loads.
+    # The numpy crossover behind it (and behind the flip-updater loops)
+    # sends wide read batches at embedded scale to sparse; narrow ones
+    # (num_reads <= DENSE_MAX_BATCH_READS) stay dense because the
+    # batched row update amortizes poorly.
+    model = _sparse_model()
+    n, nnz = len(model), len(model.to_csr()[3])
+    assert kernels.choose_kernel(n, nnz, num_reads=8) == "sparse"
+    assert kernels.choose_kernel(n, nnz, num_reads=2) == "dense"
+    native = kernels.native_unavailable_reason() is None
+    for num_reads, fallback in ((8, "sparse"), (2, "dense")):
+        result = SimulatedAnnealingSampler(seed=0).sample(
+            model, num_reads=num_reads, num_sweeps=5
+        )
+        assert result.info["kernel"] == ("native" if native else fallback)
 
 
 # ----------------------------------------------------------------------
@@ -109,8 +115,10 @@ def _machine_problem():
     return props, model
 
 
-@pytest.mark.parametrize("kernel", ["sparse"])
+@pytest.mark.parametrize("kernel", ["sparse", "native"])
 def test_machine_kernel_tiers_identical(kernel):
+    if kernel == "native":
+        require_native_tier()
     props, model = _machine_problem()
 
     def run(tier):

@@ -1,8 +1,15 @@
-"""Tests for the CSR export and the shared two-tier sweep kernels."""
+"""Tests for the CSR export and the shared sweep-kernel tiers."""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import repro
 from repro.ising.model import IsingModel
 from repro.qmasm.runner import QmasmRunner
 from repro.solvers import kernels
@@ -10,6 +17,7 @@ from repro.solvers.greedy import SteepestDescentSolver
 from repro.solvers.neal import SimulatedAnnealingSampler
 from repro.solvers.sampleset import SampleSet
 from repro.solvers.sqa import PathIntegralAnnealer
+from tests.conftest import require_native_tier
 
 
 def _ring_model(n=10, chords=()):
@@ -191,8 +199,10 @@ def _anneal(kernel, model, deadline=None, num_reads=6, num_sweeps=40):
     return spins, fields, accepted, stats
 
 
-@pytest.mark.parametrize("kernel", ["sparse"])
+@pytest.mark.parametrize("kernel", ["sparse", "native"])
 def test_run_metropolis_sweeps_tiers_bitwise_equal(kernel):
+    if kernel == kernels.NATIVE:
+        require_native_tier()
     model = _ring_model(70, chords=[(0, 35), (10, 50), (22, 61)])
     spins_d, fields_d, acc_d, _ = _anneal("dense", model)
     spins_k, fields_k, acc_k, _ = _anneal(kernel, model)
@@ -201,13 +211,15 @@ def test_run_metropolis_sweeps_tiers_bitwise_equal(kernel):
     assert acc_d == acc_k
 
 
-@pytest.mark.parametrize("kernel", ["dense", "sparse"])
+@pytest.mark.parametrize("kernel", ["dense", "sparse", "native"])
 def test_run_metropolis_sweeps_deadline_contract(kernel):
     """Every tier stops at the same sweep boundary with the same polls.
 
     The second expired() poll (sweep DEADLINE_SWEEP_BATCH) reports
     expiry, so exactly one full batch of sweeps completes.
     """
+    if kernel == kernels.NATIVE:
+        require_native_tier()
     model = _ring_model(70, chords=[(0, 35)])
     deadline = _ExpireAfter(1)
     spins, _, _, stats = _anneal(
@@ -222,6 +234,118 @@ def test_run_metropolis_sweeps_deadline_contract(kernel):
         num_sweeps=kernels.DEADLINE_SWEEP_BATCH * 3,
     )
     np.testing.assert_array_equal(spins, ref_spins)
+
+
+def test_native_tier_matches_sparse_on_nan_and_inf_coefficients():
+    """A NaN x rejects on both tiers (numpy's minimum propagates NaN)."""
+    require_native_tier()
+    model = _ring_model(70, chords=[(0, 35), (10, 50), (22, 61)])
+    model.add_variable(5, float("nan"))
+    model.add_interaction(20, 21, float("inf"))
+    with np.errstate(invalid="ignore"):
+        spins_s, fields_s, acc_s, _ = _anneal("sparse", model)
+    spins_n, fields_n, acc_n, _ = _anneal("native", model)
+    assert np.isnan(fields_s).any() and np.isinf(fields_s).any()
+    np.testing.assert_array_equal(spins_s, spins_n)
+    np.testing.assert_array_equal(fields_s, fields_n)  # NaN == NaN here
+    assert acc_s == acc_n
+
+
+def test_native_tier_rejects_arrays_it_cannot_update_in_place():
+    require_native_tier()
+    model = _ring_model(70)
+    _, h, indptr, indices, data = model.to_csr()
+    spins = np.ones((4, 70))
+    fields = kernels.init_local_fields(h, indptr, indices, data, spins)
+    for bad_spins, bad_fields in [
+        (np.asfortranarray(spins), fields),
+        (spins, np.asfortranarray(fields)),
+        (spins.astype(np.float32), fields),
+    ]:
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            kernels.run_metropolis_sweeps(
+                np.random.default_rng(0), bad_spins, bad_fields,
+                np.ones(2), "native", indptr, indices, data,
+            )
+
+
+def test_neal_fortran_ordered_initial_states_sample_like_c_ordered():
+    """The runner's refine anneal passes a column slice (Fortran order)."""
+    model = _ring_model(70, chords=[(0, 35)])
+    starts = np.random.default_rng(3).choice([-1, 1], size=(70, 12)).astype(np.int8).T
+    assert starts.flags.f_contiguous and not starts.flags.c_contiguous
+    runs = [
+        SimulatedAnnealingSampler(seed=5).sample(
+            model, num_reads=12, num_sweeps=20, initial_states=states
+        )
+        for states in (starts, np.ascontiguousarray(starts))
+    ]
+    np.testing.assert_array_equal(runs[0].records, runs[1].records)
+    np.testing.assert_array_equal(runs[0].energies, runs[1].energies)
+    assert runs[0].info["kernel"] == runs[1].info["kernel"]
+
+
+def test_native_tier_loads_when_cc_is_present():
+    """Fails, never skips, when a compiler exists and the tier did not load.
+
+    Every native leg skips when the tier is unavailable; this test keeps
+    a host with ``cc`` from testing only the fallback.
+    """
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler on PATH")
+    assert kernels.native_unavailable_reason() is None
+    result = SimulatedAnnealingSampler(seed=0).sample(
+        _ring_model(70), num_reads=8, num_sweeps=5
+    )
+    assert result.info["kernel"] == kernels.NATIVE
+
+
+#: ``_ring_model(70)`` annealed on the native tier, as a script.
+_NATIVE_ANNEAL = """
+import hashlib
+import numpy as np
+from repro.ising.model import IsingModel
+from repro.solvers.neal import SimulatedAnnealingSampler
+
+model = IsingModel()
+for i in range(70):
+    model.add_variable(i, 0.1 * ((-1) ** i))
+    model.add_interaction(i, (i + 1) % 70, -1.0 if i % 3 else 0.5)
+result = SimulatedAnnealingSampler(seed=4).sample(
+    model, num_reads=16, num_sweeps=50, kernel="native"
+)
+print(hashlib.sha256(result.records.tobytes()).hexdigest())
+"""
+
+
+def test_concurrent_first_builds_share_one_cache(tmp_path):
+    """Two processes building into one empty cache both run native."""
+    require_native_tier()
+    cache = tmp_path / "cache"
+    env = dict(
+        os.environ,
+        XDG_CACHE_HOME=str(cache),
+        PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)),
+    )
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", _NATIVE_ANNEAL], env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for _ in range(2)
+    ]
+    outputs = []
+    for proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        outputs.append(out.strip())
+    reference = SimulatedAnnealingSampler(seed=4).sample(
+        _ring_model(70), num_reads=16, num_sweeps=50, kernel="sparse"
+    )
+    expected = hashlib.sha256(reference.records.tobytes()).hexdigest()
+    assert outputs == [expected, expected]
+    # One installed library, no temporary files left behind.
+    assert [path.suffix for path in (cache / "repro").iterdir()] == [".so"]
 
 
 @pytest.mark.parametrize("n, tier", [(20, "dense"), (80, "sparse")])

@@ -8,8 +8,10 @@ import pytest
 from repro.ising.cells import cell_hamiltonian
 from repro.ising.model import IsingModel
 from repro.solvers.exact import ExactSolver
+from repro.solvers.greedy import SteepestDescentSolver
 from repro.solvers.neal import SimulatedAnnealingSampler, default_beta_range
 from repro.solvers.qbsolv import QBSolv, clamped_subproblem
+from repro.solvers.sqa import PathIntegralAnnealer
 from repro.solvers.tabu import TabuSampler
 
 
@@ -118,6 +120,24 @@ def test_sa_parameter_validation(triangle_model):
         sampler.sample(triangle_model, beta_range=(2.0, 1.0))
     with pytest.raises(ValueError):
         sampler.sample(triangle_model, beta_range=(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("num_sweeps", [0, -3])
+@pytest.mark.parametrize("annealer", [SimulatedAnnealingSampler, PathIntegralAnnealer])
+def test_annealers_reject_non_positive_num_sweeps(triangle_model, annealer, num_sweeps):
+    sampler = annealer(seed=0)
+    before = sampler._rng.bit_generator.state
+    with pytest.raises(ValueError, match="^num_sweeps must be positive$"):
+        sampler.sample(triangle_model, num_sweeps=num_sweeps)
+    assert sampler._rng.bit_generator.state == before
+
+
+def test_steepest_descent_rejects_zero_num_reads(triangle_model):
+    sampler = SteepestDescentSolver(seed=0)
+    before = sampler._rng.bit_generator.state
+    with pytest.raises(ValueError, match="^num_reads must be positive$"):
+        sampler.sample(triangle_model, num_reads=0)
+    assert sampler._rng.bit_generator.state == before
 
 
 def test_sa_empty_model():
