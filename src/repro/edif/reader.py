@@ -8,10 +8,11 @@ ports with ``(member ...)`` references, instances, and joined nets.
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.ising.cells import CELL_LIBRARY
-from repro.edif.sexp import SExp, Symbol, parse_sexp
+from repro.edif.sexp import SExp, Symbol, format_sexp, parse_sexp
 from repro.synth.netlist import CONSTANT_CELLS, Netlist, PortDirection
 
 
@@ -24,7 +25,7 @@ def _is_form(expr: SExp, keyword: str) -> bool:
         isinstance(expr, list)
         and bool(expr)
         and isinstance(expr[0], Symbol)
-        and str(expr[0]).lower() == keyword.lower()
+        and expr[0].lower() == keyword.lower()
     )
 
 
@@ -39,15 +40,35 @@ def _find_one(expr: List[SExp], keyword: str) -> List[SExp]:
     return matches[0]
 
 
+def _show(expr: SExp) -> str:
+    """``expr`` as one line of EDIF text, cut short for an error message."""
+    text = format_sexp(expr, width=sys.maxsize)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def _operand(form: List[SExp], index: int, what: str) -> SExp:
+    """``form[index]``, or an EdifError naming the form that lacks it."""
+    if len(form) <= index:
+        raise EdifError(f"{_show(form)} has no {what}")
+    return form[index]
+
+
+def _integer(form: List[SExp], index: int, what: str) -> int:
+    value = _operand(form, index, what)
+    if not isinstance(value, int):
+        raise EdifError(f"{_show(form)}: {what} {_show(value)} is not an integer")
+    return value
+
+
 def _identifier(expr: SExp) -> str:
     """A name, resolving ``(rename safe "original")`` to the original."""
     if isinstance(expr, Symbol):
         return str(expr)
     if _is_form(expr, "rename"):
         if len(expr) != 3 or not isinstance(expr[2], str):
-            raise EdifError(f"malformed rename: {expr!r}")
+            raise EdifError(f"malformed rename: {_show(expr)}")
         return expr[2]
-    raise EdifError(f"not an identifier: {expr!r}")
+    raise EdifError(f"not an identifier: {_show(expr)}")
 
 
 def read_edif(text: str) -> Netlist:
@@ -58,12 +79,12 @@ def read_edif(text: str) -> Netlist:
 
     design = _find_one(document, "design")
     cell_ref = _find_one(design, "cellRef")
-    top_name = _identifier(cell_ref[1])
+    top_name = _identifier(_operand(cell_ref, 1, "name"))
 
     top_cell = None
     for library in _find_all(document, "library"):
         for cell in _find_all(library, "cell"):
-            if _identifier(cell[1]) == top_name:
+            if _identifier(_operand(cell, 1, "name")) == top_name:
                 top_cell = cell
     if top_cell is None:
         raise EdifError(f"design cell {top_name!r} not found in any library")
@@ -78,17 +99,19 @@ def read_edif(text: str) -> Netlist:
     port_bits: Dict[str, List[int]] = {}
     port_dirs: Dict[str, PortDirection] = {}
     for port in _find_all(interface, "port"):
-        spec = port[1]
+        spec = _operand(port, 1, "name")
         if _is_form(spec, "array"):
-            name = _identifier(spec[1])
-            width = int(spec[2])
+            name = _identifier(_operand(spec, 1, "name"))
+            width = _integer(spec, 2, "width")
+            if width < 0:
+                raise EdifError(f"{_show(spec)}: width {width} is negative")
         else:
             name = _identifier(spec)
             width = 1
         direction_form = _find_one(port, "direction")
         direction = (
             PortDirection.INPUT
-            if str(direction_form[1]).upper() == "INPUT"
+            if str(_operand(direction_form, 1, "direction")).upper() == "INPUT"
             else PortDirection.OUTPUT
         )
         port_bits[name] = netlist.new_nets(width)
@@ -97,9 +120,9 @@ def read_edif(text: str) -> Netlist:
     # Instances.
     instance_kind: Dict[str, str] = {}
     for instance in _find_all(contents, "instance"):
-        name = _identifier(instance[1])
+        name = _identifier(_operand(instance, 1, "name"))
         view_ref = _find_one(instance, "viewRef")
-        kind = _identifier(_find_one(view_ref, "cellRef")[1])
+        kind = _identifier(_operand(_find_one(view_ref, "cellRef"), 1, "name"))
         if kind not in CELL_LIBRARY and kind not in CONSTANT_CELLS:
             raise EdifError(f"instance {name!r} has unknown cell type {kind!r}")
         instance_kind[name] = kind
@@ -119,28 +142,40 @@ def read_edif(text: str) -> Netlist:
         if not endpoints:
             continue
         net_id: Optional[int] = None
-        module_refs: List[Tuple[str, Optional[int]]] = []
+        module_refs: List[Tuple[str, Optional[int], SExp]] = []
         instance_refs: List[Tuple[str, str]] = []
         for ref in endpoints:
-            port_spec = ref[1]
+            port_spec = _operand(ref, 1, "port")
             if _is_form(port_spec, "member"):
-                port_name = _identifier(port_spec[1])
-                bit = int(port_spec[2])
+                port_name = _identifier(_operand(port_spec, 1, "port"))
+                bit: Optional[int] = _integer(port_spec, 2, "index")
             else:
                 port_name = _identifier(port_spec)
                 bit = None
             inst_forms = _find_all(ref, "instanceRef")
             if inst_forms:
-                instance_refs.append((_identifier(inst_forms[0][1]), port_name))
+                inst_name = _identifier(_operand(inst_forms[0], 1, "name"))
+                instance_refs.append((inst_name, port_name))
             else:
-                module_refs.append((port_name, bit))
+                module_refs.append((port_name, bit, ref))
         # Module port bits own their pre-created nets; if one EDIF net
         # joins several module port bits (e.g. assign out = in), merge.
-        for port_name, bit in module_refs:
+        for port_name, bit, ref in module_refs:
             if port_name not in port_bits:
                 raise EdifError(f"net references unknown port {port_name!r}")
+            bits = port_bits[port_name]
+            if bit is None and len(bits) != 1:
+                raise EdifError(
+                    f"{_show(ref)}: port {port_name!r} has {len(bits)} bits; "
+                    "name one with (member ...)"
+                )
             index = 0 if bit is None else bit
-            candidate = resolve(port_bits[port_name][index])
+            if not 0 <= index < len(bits):
+                raise EdifError(
+                    f"{_show(ref)}: index {index} is outside port "
+                    f"{port_name!r}, bits 0..{len(bits) - 1}"
+                )
+            candidate = resolve(bits[index])
             if net_id is None:
                 net_id = candidate
             elif net_id != candidate:

@@ -20,19 +20,49 @@ from repro.synth.netlist import CONSTANT_CELLS, Net, Netlist
 
 _SAFE_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
 
-
-def _sym(text: str) -> Symbol:
-    return Symbol(text)
+#: One shared Symbol for each EDIF keyword the writer emits and each name
+#: in the cell library.  The set is fixed, so the table never grows.
+_SYMBOLS: Dict[str, Symbol] = {
+    word: Symbol(word)
+    for word in (
+        "edif edifVersion edifLevel keywordMap keywordLevel external library "
+        "design technology numberDefinition cell cellType GENERIC view "
+        "VIEW_NETLIST viewType NETLIST interface contents port direction "
+        "INPUT OUTPUT array member instance viewRef cellRef libraryRef LIB "
+        "DESIGN net joined portRef instanceRef rename"
+    ).split()
+    + list(CONSTANT_CELLS)
+    + [
+        name
+        for spec in CELL_LIBRARY.values()
+        for name in (spec.name, spec.output, *spec.inputs)
+    ]
+}
+#: ``_sym("port")`` is the table's Symbol; a word missing from it is a KeyError.
+_sym = _SYMBOLS.__getitem__
 
 
 def _name(identifier: str) -> SExp:
     """A bare symbol if legal, else ``(rename safe "original")``."""
     if _SAFE_RE.match(identifier):
-        return _sym(identifier)
+        return Symbol(identifier)
     safe = re.sub(r"[^A-Za-z0-9_]", "_", identifier)
     if not safe or not safe[0].isalpha():
         safe = "id_" + safe
-    return [_sym("rename"), _sym(safe), identifier]
+    return [_sym("rename"), Symbol(safe), identifier]
+
+
+class _Names(dict):
+    """One document's identifiers, each named by :func:`_name` once.
+
+    A cell or port name recurs in every net that joins it; the table
+    lives for one :func:`write_edif` call, so it never outgrows the
+    design it serves.
+    """
+
+    def __missing__(self, identifier: str) -> SExp:
+        named = self[identifier] = _name(identifier)
+        return named
 
 
 def _cell_interface(kind: str) -> SExp:
@@ -64,17 +94,18 @@ def _cell_interface(kind: str) -> SExp:
 def write_edif(netlist: Netlist) -> str:
     """Serialize a gate-level netlist as an EDIF 2.0.0 document."""
     used_kinds = sorted({cell.kind for cell in netlist.cells.values()})
+    names = _Names()
 
     interface: List[SExp] = [_sym("interface")]
     for port in netlist.ports.values():
         direction = [_sym("direction"), _sym(port.direction.value.upper())]
         if port.width == 1:
-            interface.append([_sym("port"), _name(port.name), direction])
+            interface.append([_sym("port"), names[port.name], direction])
         else:
             interface.append(
                 [
                     _sym("port"),
-                    [_sym("array"), _name(port.name), port.width],
+                    [_sym("array"), names[port.name], port.width],
                     direction,
                 ]
             )
@@ -84,7 +115,7 @@ def write_edif(netlist: Netlist) -> str:
         contents.append(
             [
                 _sym("instance"),
-                _name(cell.name),
+                names[cell.name],
                 [
                     _sym("viewRef"),
                     _sym("VIEW_NETLIST"),
@@ -97,22 +128,23 @@ def write_edif(netlist: Netlist) -> str:
         refs: List[SExp] = []
         for instance, port, bit in joined:
             if bit is None:
-                port_ref: SExp = _sym(port) if _SAFE_RE.match(port) else _name(port)
+                port_ref: SExp = names[port]
             else:
-                port_ref = [_sym("member"), _name(port), bit]
+                port_ref = [_sym("member"), names[port], bit]
             if instance is None:
                 refs.append([_sym("portRef"), port_ref])
             else:
                 refs.append(
-                    [_sym("portRef"), port_ref, [_sym("instanceRef"), _name(instance)]]
+                    [_sym("portRef"), port_ref, [_sym("instanceRef"), names[instance]]]
                 )
         contents.append(
             [_sym("net"), _name(f"net_{net}"), [_sym("joined")] + refs]
         )
 
+    top = names[netlist.name]
     document: SExp = [
         _sym("edif"),
-        _name(netlist.name),
+        top,
         [_sym("edifVersion"), 2, 0, 0],
         [_sym("edifLevel"), 0],
         [_sym("keywordMap"), [_sym("keywordLevel"), 0]],
@@ -130,7 +162,7 @@ def write_edif(netlist: Netlist) -> str:
             [_sym("technology"), [_sym("numberDefinition")]],
             [
                 _sym("cell"),
-                _name(netlist.name),
+                top,
                 [_sym("cellType"), _sym("GENERIC")],
                 [
                     _sym("view"),
@@ -143,8 +175,8 @@ def write_edif(netlist: Netlist) -> str:
         ],
         [
             _sym("design"),
-            _name(netlist.name),
-            [_sym("cellRef"), _name(netlist.name), [_sym("libraryRef"), _sym("DESIGN")]],
+            top,
+            [_sym("cellRef"), top, [_sym("libraryRef"), _sym("DESIGN")]],
         ],
     ]
     return format_sexp(document) + "\n"

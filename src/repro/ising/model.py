@@ -92,17 +92,34 @@ class IsingModel:
         self._csr = None
 
     def add_variable(self, v: Variable, bias: float = 0.0) -> None:
-        """Add ``bias`` to the linear coefficient of ``v`` (creating it)."""
+        """Add ``bias`` to the linear coefficient of ``v`` (creating it).
+
+        A NaN or infinite ``bias`` is a ``ValueError``: every sampler
+        would anneal on it and return NaN energies.
+        """
+        bias = float(bias)
+        if not math.isfinite(bias):
+            raise ValueError(f"bias of variable {v!r} is {bias}, not a finite number")
         self._invalidate()
-        self._h[v] = self._h.get(v, 0.0) + float(bias)
+        self._h[v] = self._h.get(v, 0.0) + bias
 
     def add_interaction(self, u: Variable, v: Variable, coupling: float) -> None:
-        """Add ``coupling`` to the quadratic coefficient of the pair {u, v}."""
+        """Add ``coupling`` to the quadratic coefficient of the pair {u, v}.
+
+        A NaN or infinite ``coupling`` is a ``ValueError``, as in
+        :meth:`add_variable`.
+        """
+        coupling = float(coupling)
+        if not math.isfinite(coupling):
+            raise ValueError(
+                f"coupling of variables {u!r} and {v!r} is {coupling}, "
+                "not a finite number"
+            )
         edge = _edge(u, v)
         self._invalidate()
         self._h.setdefault(u, 0.0)
         self._h.setdefault(v, 0.0)
-        self._j[edge] = self._j.get(edge, 0.0) + float(coupling)
+        self._j[edge] = self._j.get(edge, 0.0) + coupling
 
     def update(self, other: "IsingModel") -> None:
         """Accumulate ``other`` into this model (Section 4.3.5: H_P + H_Q)."""

@@ -8,6 +8,7 @@ can live in memory (see :mod:`repro.qmasm.stdcell`) or on disk.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from typing import Callable, Dict, List, Optional
@@ -185,9 +186,12 @@ def _check_var(token: str, line_number: int) -> None:
 
 def _number(token: str, line_number: int) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise QmasmError(f"invalid number {token!r}", line_number) from None
+    if not math.isfinite(value):  # float() reads "nan", "inf", "-Infinity"
+        raise QmasmError(f"non-finite number {token!r}", line_number)
+    return value
 
 
 # ----------------------------------------------------------------------

@@ -255,3 +255,71 @@ def test_sanitized_name_collisions_stay_distinct():
     sim = NetlistSimulator(back)
     assert sim.evaluate({"a b": 1, "a+b": 0})["y"] == 0
     assert sim.evaluate({"a b": 1, "a+b": 1})["y"] == 1
+
+
+# ----------------------------------------------------------------------
+# EDIF reader: malformed forms are EdifErrors naming the form
+# ----------------------------------------------------------------------
+#: A 2-bit input A, an output y and one AND gate; each case below swaps
+#: one well-formed piece for a malformed one.
+_TEMPLATE = """
+(edif t (edifVersion 2 0 0) (edifLevel 0) (keywordMap (keywordLevel 0))
+  (external LIB (edifLevel 0) (technology (numberDefinition))
+    (cell AND (cellType GENERIC) (view VIEW_NETLIST (viewType NETLIST)
+      (interface (port Y (direction OUTPUT)) (port A (direction INPUT))
+                 (port B (direction INPUT))))))
+  (library DESIGN (edifLevel 0) (technology (numberDefinition))
+    (cell t (cellType GENERIC)
+      (view VIEW_NETLIST (viewType NETLIST)
+        (interface PORT_A (port y (direction OUTPUT)))
+        (contents
+          (instance g (viewRef VIEW_NETLIST CELL_REF))
+          (net n0 (joined (portRef MEMBER_0) (portRef A (instanceRef g))))
+          (net n1 (joined (portRef (member A 1)) (portRef B (instanceRef g))))
+          (net n2 (joined (portRef y) (portRef Y (instanceRef g))))))))
+  (design t (cellRef t (libraryRef DESIGN))))
+"""
+_GOOD = {
+    "PORT_A": "(port (array A 2) (direction INPUT))",
+    "CELL_REF": "(cellRef AND (libraryRef LIB))",
+    "MEMBER_0": "(member A 0)",
+}
+
+
+def _document(**swaps):
+    text = _TEMPLATE
+    for key, good in _GOOD.items():
+        text = text.replace(key, swaps.get(key, good))
+    return text
+
+
+def test_malformed_form_template_reads_when_well_formed():
+    netlist = read_edif(_document())
+    assert netlist.ports["A"].width == 2
+    sim = NetlistSimulator(netlist)
+    assert sim.evaluate({"A": 3})["y"] == 1
+    assert sim.evaluate({"A": 1})["y"] == 0
+
+
+@pytest.mark.parametrize(
+    "swaps, message",
+    [
+        ({"PORT_A": "(port)"}, r"\(port\) has no name"),
+        ({"CELL_REF": "(cellRef)"}, r"\(cellRef\) has no name"),
+        ({"PORT_A": "(port (array A x) (direction INPUT))"},
+         r"\(array A x\): width x is not an integer"),
+        ({"MEMBER_0": "(member A q)"}, r"\(member A q\): index q is not an integer"),
+        ({"MEMBER_0": "(member A 7)"},
+         r"\(portRef \(member A 7\)\): index 7 is outside port 'A', bits 0\.\.1"),
+        ({"MEMBER_0": "(member A -1)"},
+         r"\(portRef \(member A -1\)\): index -1 is outside port 'A', bits 0\.\.1"),
+        ({"MEMBER_0": "A"}, r"\(portRef A\): port 'A' has 2 bits"),
+        ({"PORT_A": "(port (array A -2) (direction INPUT))"},
+         r"\(array A -2\): width -2 is negative"),
+    ],
+    ids=["port", "cellRef", "array-width", "member-index", "member-high",
+         "member-negative", "bare-bus-ref", "negative-width"],
+)
+def test_reader_rejects_malformed_form(swaps, message):
+    with pytest.raises(EdifError, match=message):
+        read_edif(_document(**swaps))

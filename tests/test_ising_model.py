@@ -63,6 +63,17 @@ def test_self_interaction_rejected():
         model.add_interaction("a", "a", 1.0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_coefficients_rejected(value):
+    model = IsingModel()
+    model.add_interaction("a", "b", 1.0)
+    with pytest.raises(ValueError, match="bias of variable 'x' is"):
+        model.add_variable("x", value)
+    with pytest.raises(ValueError, match="coupling of variables 'a' and 'b' is"):
+        model.add_interaction("a", "b", value)
+    assert "x" not in model and model.get_interaction("a", "b") == 1.0
+
+
 def test_interaction_creates_variables():
     model = IsingModel()
     model.add_interaction("a", "b", 1.0)

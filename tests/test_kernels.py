@@ -186,7 +186,8 @@ class _ExpireAfter:
 
 
 def _anneal(kernel, model, deadline=None, num_reads=6, num_sweeps=40):
-    _, h, indptr, indices, data = model.to_csr()
+    """Anneal ``model``, an IsingModel or the arrays of its ``to_csr()``."""
+    _, h, indptr, indices, data = model if isinstance(model, tuple) else model.to_csr()
     rng = np.random.default_rng(99)
     spins = rng.choice([-1.0, 1.0], size=(num_reads, len(h)))
     fields = kernels.init_local_fields(h, indptr, indices, data, spins)
@@ -237,11 +238,22 @@ def test_run_metropolis_sweeps_deadline_contract(kernel):
 
 
 def test_native_tier_matches_sparse_on_nan_and_inf_coefficients():
-    """A NaN x rejects on both tiers (numpy's minimum propagates NaN)."""
+    """A NaN x rejects on both tiers (numpy's minimum propagates NaN).
+
+    IsingModel refuses non-finite coefficients, so the NaN bias and the
+    inf coupling go straight into the arrays the kernels anneal.
+    """
     require_native_tier()
-    model = _ring_model(70, chords=[(0, 35), (10, 50), (22, 61)])
-    model.add_variable(5, float("nan"))
-    model.add_interaction(20, 21, float("inf"))
+    order, h, indptr, indices, data = _ring_model(
+        70, chords=[(0, 35), (10, 50), (22, 61)]
+    ).to_csr()
+    h, data = h.copy(), data.copy()
+    h[order.index(5)] = float("nan")
+    for u, v in ((20, 21), (21, 20)):
+        row, col = order.index(u), order.index(v)
+        start, stop = indptr[row], indptr[row + 1]
+        data[start + list(indices[start:stop]).index(col)] = float("inf")
+    model = (order, h, indptr, indices, data)
     with np.errstate(invalid="ignore"):
         spins_s, fields_s, acc_s, _ = _anneal("sparse", model)
     spins_n, fields_n, acc_n, _ = _anneal("native", model)

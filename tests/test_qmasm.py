@@ -94,6 +94,15 @@ def test_pin_validation():
         parse_pin("x[1:0] := 9")  # doesn't fit
 
 
+@pytest.mark.parametrize(
+    "source", ["A nan\n", "A 1\nA B inf\n", "A 1\n\nB -Infinity\n", "A 1e999\n"]
+)
+def test_non_finite_weights_rejected_with_line(source):
+    line = len(source.rstrip("\n").splitlines())
+    with pytest.raises(QmasmError, match=rf"non-finite number .* \(line {line}\)"):
+        parse_qmasm(source)
+
+
 def test_pins_inside_programs():
     program = parse_qmasm("A 1\nA := true\n")
     pins = [s for s in program.statements if isinstance(s, Pin)]

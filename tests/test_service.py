@@ -159,6 +159,15 @@ class TestValidation:
         )
         assert exc.payload()["language"] == "qmasm"
 
+    def test_non_finite_qmasm_weight_rejected(self):
+        exc = self._reject(
+            {"source": "A 1\nA B nan\n", "language": "qmasm"},
+            "invalid_source",
+        )
+        payload = exc.payload()
+        assert payload["status"] == 400 and payload["line"] == 2
+        assert "non-finite number 'nan'" in payload["message"]
+
     def test_valid_request_roundtrips(self):
         request = JobRequest.from_payload(dict(MULT_JOB))
         assert request.solver == "sa"
