@@ -8,9 +8,9 @@ Each step makes one pass: the tokenizer is one regular expression, the
 parser walks the tokens once with an explicit stack (so nesting depth is
 bounded by memory, not by Python's recursion limit), and the formatter
 builds every list's one-line text once, bottom-up, before laying the
-tree out top-down.  ``tests/sexp_reference.py`` keeps the earlier
-recursive versions, and ``tests/test_sexp_differential.py`` holds these
-to their exact tokens, trees, texts and error messages.
+tree out top-down.  Tokens, trees, texts and error messages must match
+the reference in ``tests/sexp_reference.py`` exactly: the EDIF bytes,
+and with them every compile-cache key, rest on them.
 """
 
 from __future__ import annotations
