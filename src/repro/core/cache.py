@@ -288,10 +288,17 @@ class ArtifactCache:
             self._disk_warn("store", path, exc)
 
 
+#: The shape of a cached :class:`~repro.core.compiler.CompiledProgram`.
+#: Part of every compile-cache key: bump it when that shape changes, so
+#: a disk tier written by older code misses instead of returning a
+#: program without what newer code reads.
+COMPILE_FORMAT = 2
+
+
 class CompilationCache(ArtifactCache):
     """Caches :class:`~repro.core.compiler.CompiledProgram` objects.
 
-    Keyed by the Verilog source text, the full
+    Keyed by :data:`COMPILE_FORMAT`, the Verilog source text, the full
     :class:`~repro.core.compiler.CompileOptions`, and the target
     topology fingerprint, so any option change (e.g. a different
     ``unroll_steps``) is a distinct entry and programs compiled against
@@ -304,6 +311,7 @@ class CompilationCache(ArtifactCache):
     @staticmethod
     def key_for(source: str, options: Any, target: str = "any") -> str:
         return stable_hash(
+            f"format:{COMPILE_FORMAT}",
             "verilog:" + source,
             "options:" + options_fingerprint(options),
             "target:" + target,
@@ -343,9 +351,9 @@ class EmbeddingCache(ArtifactCache):
     couplings are non-zero.  Re-running a compiled program with
     different pins therefore reuses the same embedding (pins only bias
     existing variables).  The target graph, seed, and retry budget are
-    part of the key so distinct hardware or an explicit re-seed still
-    embeds afresh (Section 6.1's 25-embedding variance sweep relies on
-    per-seed variation).
+    part of the key so distinct hardware or a runner with another seed
+    still embeds afresh (Section 6.1's 25-embedding variance sweep
+    relies on per-seed variation).
 
     The target fingerprint is computed over the machine's *working*
     graph, so a degraded machine (dead qubits/couplers from the yield

@@ -75,6 +75,7 @@ from typing import List, Optional
 from repro.core.compiler import CompileOptions, VerilogAnnealerCompiler
 from repro.core.faults import parse_fault_spec
 from repro.core.pipeline import format_pass_table
+from repro.qmasm.runner import SOLVERS
 from repro.solvers.machine import MachineProperties
 
 
@@ -114,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--run", action="store_true", help="execute the program")
     parser.add_argument(
         "--solver",
-        choices=["dwave", "sa", "sqa", "exact", "tabu", "qbsolv", "shard"],
+        choices=SOLVERS,
         default="dwave",
         help=(
             "execution backend (default: simulated D-Wave 2000Q); "
@@ -444,7 +445,7 @@ def _run_command(args: argparse.Namespace) -> int:
         elif args.emit == "qubo":
             from repro.qmasm.qubo_format import write_qubo_file
 
-            model, _ = program.logical.to_ising(apply_pins=False)
+            model, _ = program.logical.lowering
             print(
                 write_qubo_file(
                     model,

@@ -95,7 +95,6 @@ class CompiledProgram:
 
     verilog_source: str
     options: CompileOptions = field(default_factory=CompileOptions)
-    elaborated: Optional[Netlist] = None
     netlist: Optional[Netlist] = None
     edif_text: Optional[str] = None
     #: The netlist as re-read from the EDIF text -- the exact netlist
@@ -115,7 +114,7 @@ class CompiledProgram:
 
     def statistics(self) -> Dict[str, object]:
         """The Section 6.1 static properties of this compilation."""
-        logical_model, _ = self.logical.to_ising(apply_pins=False)
+        logical_model, _ = self.logical.lowering
         return {
             "verilog_lines": _code_lines(self.verilog_source),
             "edif_lines": len(self.edif_text.splitlines()),
@@ -138,10 +137,6 @@ def _code_lines(text: str) -> int:
 # ----------------------------------------------------------------------
 # The compilation pipeline stages
 # ----------------------------------------------------------------------
-def _netlist_counters(netlist: Netlist) -> Dict[str, float]:
-    return dict(netlist.counters())
-
-
 class ElaborateStage(Stage):
     """Verilog text -> word-level netlist, lowered to gates."""
 
@@ -149,14 +144,13 @@ class ElaborateStage(Stage):
 
     def run(self, artifact: CompiledProgram, context: PipelineContext):
         options: CompileOptions = context.options
-        artifact.elaborated = elaborate(
+        artifact.netlist = elaborate(
             artifact.verilog_source, top=options.top, parameters=options.parameters
         )
-        artifact.netlist = artifact.elaborated
         return artifact
 
     def counters(self, artifact: CompiledProgram, context: PipelineContext):
-        return _netlist_counters(artifact.netlist)
+        return artifact.netlist.counters()
 
 
 class OptimizeStage(Stage):
@@ -172,7 +166,7 @@ class OptimizeStage(Stage):
         return artifact
 
     def counters(self, artifact: CompiledProgram, context: PipelineContext):
-        return _netlist_counters(artifact.netlist)
+        return artifact.netlist.counters()
 
 
 class TechmapStage(Stage):
@@ -188,7 +182,7 @@ class TechmapStage(Stage):
         return artifact
 
     def counters(self, artifact: CompiledProgram, context: PipelineContext):
-        return _netlist_counters(artifact.netlist)
+        return artifact.netlist.counters()
 
 
 class UnrollStage(Stage):
@@ -216,7 +210,7 @@ class UnrollStage(Stage):
         return artifact
 
     def counters(self, artifact: CompiledProgram, context: PipelineContext):
-        return _netlist_counters(artifact.netlist)
+        return artifact.netlist.counters()
 
 
 class EmitEdifStage(Stage):
@@ -243,7 +237,7 @@ class EdifRoundtripStage(Stage):
         return artifact
 
     def counters(self, artifact: CompiledProgram, context: PipelineContext):
-        return _netlist_counters(artifact.edif_netlist)
+        return artifact.edif_netlist.counters()
 
 
 class TranslateQmasmStage(Stage):
@@ -260,7 +254,8 @@ class TranslateQmasmStage(Stage):
 
 
 class AssembleStage(Stage):
-    """qmasm assembly: macro expansion down to the logical program."""
+    """qmasm assembly: macro expansion down to the logical program,
+    lowered once to its unpinned Ising model."""
 
     name = "assemble"
 
@@ -272,7 +267,7 @@ class AssembleStage(Stage):
         # "variables" is the Section 6.1 logical-variable count (distinct
         # spins after chain contraction), matching --stats; the raw QMASM
         # name count before contraction rides along separately.
-        model, _ = artifact.logical.to_ising(apply_pins=False)
+        model, _ = artifact.logical.lowering
         return {
             "variables": len(model),
             "couplers": model.num_interactions(),
@@ -420,10 +415,8 @@ class VerilogAnnealerCompiler:
         # Certification must replay the netlist the QMASM source was
         # generated from (the EDIF round-trip renumbers internal nets,
         # so program.netlist's $net<N> names need not match the sampled
-        # variables).  Old cached programs may predate the field.
-        options.setdefault(
-            "netlist", getattr(program, "edif_netlist", None) or program.netlist
-        )
+        # variables).
+        options.setdefault("netlist", program.edif_netlist)
         return self.runner.run(program.logical, pins=pins, **options)
 
 

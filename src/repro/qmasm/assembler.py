@@ -9,11 +9,14 @@ chains, pins, and assertions -- into a :class:`LogicalProgram`.
 pseudo-Boolean function: explicit ``A = B`` chains are contracted into a
 single variable (the qmasm optimization of Section 4.4), ``A /= B``
 anti-chains become positive couplers, and pins become strong H_VCC /
-H_GND biases (Section 4.3.6).
+H_GND biases (Section 4.3.6).  A program is lowered once, when it is
+built; each run re-pins a copy of that lowering
+(:meth:`LogicalProgram.pinned_ising`), forward or backward.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
@@ -130,6 +133,10 @@ class LogicalProgram:
         pins: variable -> Boolean argument bindings.
         assertions: ``(expression, source_text)`` debug checks.
         variables: every variable name mentioned anywhere.
+        lowering: the unpinned lowering, ``to_ising(apply_pins=False)``,
+            made once when the program is built and shared by every
+            :meth:`with_pins` copy.  Nothing may mutate it: a run copies
+            it (:meth:`pinned_ising`).
     """
 
     model: IsingModel
@@ -137,6 +144,13 @@ class LogicalProgram:
     pins: Dict[str, bool]
     assertions: List[Tuple[AssertExpr, str]]
     variables: Set[str]
+    lowering: Optional[Tuple[IsingModel, Dict[str, str]]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.lowering is None:
+            self.lowering = self.to_ising(apply_pins=False)
 
     def with_pins(self, pins: Mapping[str, bool]) -> "LogicalProgram":
         """A copy with extra pins added (the original is untouched, so
@@ -144,28 +158,18 @@ class LogicalProgram:
         arguments -- forward, backward, or partially pinned)."""
         merged = dict(self.pins)
         merged.update(pins)
-        return LogicalProgram(
-            model=self.model,
-            chains=self.chains,
-            pins=merged,
-            assertions=self.assertions,
-            variables=self.variables,
-        )
+        return dataclasses.replace(self, pins=merged)
 
     # -- derived properties -------------------------------------------------
     def visible_variables(self) -> List[str]:
         """Variables reported to the user ('$' marks internal ones)."""
         return sorted(v for v in self.variables if "$" not in v)
 
-    def literal_max_coupler(self) -> float:
-        """Largest |J| appearing literally (sets the default chain strength)."""
-        return max(
-            (abs(c) for c in self.model.quadratic.values()), default=1.0
-        )
-
     def default_chain_strength(self) -> float:
         """QMASM's default: twice the largest-in-magnitude literal J."""
-        return 2.0 * self.literal_max_coupler()
+        return 2.0 * max(
+            (abs(c) for c in self.model.quadratic.values()), default=1.0
+        )
 
     # -- lowering ------------------------------------------------------------
     def to_ising(
@@ -195,8 +199,6 @@ class LogicalProgram:
         """
         if chain_strength is None:
             chain_strength = self.default_chain_strength()
-        if pin_strength is None:
-            pin_strength = chain_strength
 
         union = _UnionFind()
         if contract_chains:
@@ -231,13 +233,35 @@ class LogicalProgram:
                 model.add_interaction(rep_a, rep_b, abs(chain_strength))
 
         if apply_pins:
-            for variable, value in self.pins.items():
-                rep = representative.get(variable)
-                if rep is None:
-                    raise QmasmError(f"pin of unknown variable {variable!r}")
-                bias = -abs(pin_strength) if value else abs(pin_strength)
-                model.add_variable(rep, bias)
+            self._add_pins(
+                model,
+                representative,
+                chain_strength if pin_strength is None else pin_strength,
+            )
         return model, representative
+
+    def pinned_ising(self) -> Tuple[IsingModel, Dict[str, str]]:
+        """``to_ising()`` without lowering again.
+
+        A copy of the stored :attr:`lowering` plus this program's pin
+        biases, through the same pin step: term for term, and in the
+        same order, the model :meth:`to_ising` returns.
+        """
+        bare, representative = self.lowering
+        model = bare.copy()
+        self._add_pins(model, representative, self.default_chain_strength())
+        return model, dict(representative)
+
+    def _add_pins(
+        self, model: IsingModel, representative: Mapping[str, str], pin_strength: float
+    ) -> None:
+        """Bias each pinned variable toward its value, in pin order."""
+        for variable, value in self.pins.items():
+            rep = representative.get(variable)
+            if rep is None:
+                raise QmasmError(f"pin of unknown variable {variable!r}")
+            bias = -abs(pin_strength) if value else abs(pin_strength)
+            model.add_variable(rep, bias)
 
     # -- sample handling ---------------------------------------------------
     def expand_sample(

@@ -21,9 +21,9 @@ compiled program (even with different pins) skip embedding entirely.
 
 Hardware-backed execution is *fault tolerant*: a :class:`RetryPolicy`
 retries transient solver failures (each retry under a fresh
-spin-reversal gauge), escalates chain strength when the chain-break
-rate is unhealthy, and degrades gracefully through classical solver
-tiers when the machine stays unavailable --
+spin-reversal gauge) and degrades gracefully through classical solver
+tiers when the machine stays unavailable, and the run escalates chain
+strength when the chain-break rate is unhealthy --
 ``RunResult.info["answered_by"]`` records which tier produced the
 answer, and every retry/fallback/broken-chain count lands in
 :attr:`RunResult.stats`.
@@ -60,7 +60,7 @@ from repro.hardware.scaling import scale_to_hardware
 from repro.ising.model import IsingModel, spin_to_bool
 from repro.ising.roofduality import fix_variables
 from repro.qmasm.assembler import LogicalProgram, assemble
-from repro.qmasm.certify import Certificate, certify_sampleset
+from repro.qmasm.certify import Certificate, certify_sampleset, expand_read
 from repro.qmasm.parser import parse_pin, parse_qmasm
 from repro.qmasm.program import Pin, Program, QmasmError
 from repro.solvers.exact import ExactSolver
@@ -231,74 +231,47 @@ class RunResult:
 # ----------------------------------------------------------------------
 # The execution pipeline
 # ----------------------------------------------------------------------
+#: Every solver a run may name (also the CLI's and the service's choices).
+SOLVERS = ("dwave", "sa", "sqa", "exact", "tabu", "qbsolv", "shard")
+
+#: Chain-strength escalation: a chain-break fraction strictly above the
+#: threshold (so 0.0 escalates on any break, never on a clean
+#: unembedding) re-anneals at the factor times the chain strength, at
+#: most the escalation count times.
+CHAIN_BREAK_THRESHOLD = 0.25
+CHAIN_STRENGTH_FACTOR = 2.0
+MAX_CHAIN_STRENGTH_ESCALATIONS = 2
+#: The ``exact`` fallback tier answers models of at most this size.
+EXACT_FALLBACK_LIMIT = 18
+#: Escalating minor-embedding attempts before a run gives up.
+EMBEDDING_MAX_ATTEMPTS = 3
+#: Self-repair: at most this many rounds, each polishing uncertified
+#: reads with this many descent sweeps; every round after the first
+#: re-samples beforehand, with this multiple of the run's reads.
+MAX_REPAIR_ROUNDS = 3
+REPAIR_POLISH_SWEEPS = 64
+REPAIR_READ_FACTOR = 2.0
+
+
 @dataclass
 class RetryPolicy:
-    """The resilient execution policy for hardware-backed runs.
+    """What a hardware-backed run does when the machine fails it.
 
-    Real fleets see transient solver failures, degraded working graphs,
-    and runs whose chains break too often to trust; published practice
-    answers with retries, gauge (spin-reversal) averaging, chain-
-    strength tuning, and classical fallbacks.  This policy packages all
-    of that:
-
-    * **Sample retries** -- up to :attr:`max_sample_attempts` calls per
-      sample.  Retried calls run under a fresh random gauge, so retries
-      double as spin-reversal averaging and decorrelate systematic
-      analog bias.
-    * **Chain-strength escalation** -- if the unembedded chain-break
-      rate exceeds :attr:`chain_break_threshold`, the physical model is
-      rebuilt with the chain strength multiplied by
-      :attr:`chain_strength_factor` and re-sampled, up to
-      :attr:`max_chain_strength_escalations` times.
-    * **Graceful degradation** -- when the (simulated) hardware stays
-      unavailable after all retries, the *logical* problem falls back
-      through :attr:`fallback_solvers` (path-integral SQA, then tabu,
-      then exact for models of at most :attr:`exact_fallback_limit`
-      variables); ``RunResult.info["answered_by"]`` records which tier
-      actually produced the answer.
-    * **Embedding escalation** -- :attr:`embedding_max_attempts`
-      escalating attempts (doubling improvement rounds, reseeded
-      restarts) for minor embedding on degraded working graphs.
-    * **Self-repair** -- when certification finds uncertified reads
-      (``certify=True, repair=True``), up to :attr:`max_repair_rounds`
-      repair rounds run: the first polishes the offending reads with
-      bounded steepest descent (:attr:`repair_polish_sweeps` sweeps),
-      later rounds re-sample with :attr:`repair_read_factor` x the
-      original reads (hardware rounds also escalate chain strength).
-
-    Note :attr:`chain_break_threshold` is a *strict* bound: escalation
-    fires only when the chain-break fraction strictly exceeds it, so a
-    threshold of exactly ``0.0`` does **not** escalate on a clean
-    unembedding (break fraction 0.0) -- it escalates on any breakage
-    at all.
+    Each sample gets up to :attr:`max_sample_attempts` calls, every
+    retry under a fresh random gauge, so retries double as spin-reversal
+    averaging.  If the (simulated) hardware stays unavailable, the
+    *logical* problem falls back through :attr:`fallback_solvers`
+    (path-integral SQA, then tabu, then exact for models of at most
+    :data:`EXACT_FALLBACK_LIMIT` variables);
+    ``RunResult.info["answered_by"]`` records which tier answered.
     """
 
     max_sample_attempts: int = 3
-    chain_break_threshold: float = 0.25
-    chain_strength_factor: float = 2.0
-    max_chain_strength_escalations: int = 2
     fallback_solvers: Tuple[str, ...] = ("sqa", "tabu", "exact")
-    exact_fallback_limit: int = 18
-    embedding_max_attempts: int = 3
-    max_repair_rounds: int = 3
-    repair_polish_sweeps: int = 64
-    repair_read_factor: float = 2.0
 
     def __post_init__(self):
         if self.max_sample_attempts < 1:
             raise ValueError("max_sample_attempts must be >= 1")
-        if self.max_repair_rounds < 0:
-            raise ValueError("max_repair_rounds must be >= 0")
-        if self.repair_polish_sweeps < 1:
-            raise ValueError("repair_polish_sweeps must be >= 1")
-        if self.repair_read_factor < 1.0:
-            raise ValueError("repair_read_factor must be >= 1")
-        if self.embedding_max_attempts < 1:
-            raise ValueError("embedding_max_attempts must be >= 1")
-        if not 0.0 <= self.chain_break_threshold <= 1.0:
-            raise ValueError("chain_break_threshold must be in [0, 1]")
-        if self.chain_strength_factor <= 1.0:
-            raise ValueError("chain_strength_factor must be > 1")
         unknown = set(self.fallback_solvers) - {"sa", "sqa", "tabu", "exact"}
         if unknown:
             raise ValueError(f"unknown fallback solver(s): {sorted(unknown)}")
@@ -330,22 +303,15 @@ class RunOptions:
     max_workers: Optional[int] = None
     #: Per-anneal time for the dwave solver, in microseconds.
     annealing_time_us: float = 20.0
-    #: Logical chain coupling and pin bias magnitudes; None keeps
-    #: :meth:`LogicalProgram.to_ising`'s defaults.
-    chain_strength: Optional[float] = None
-    pin_strength: Optional[float] = None
     #: Elide a-priori-determined qubits before sampling.
     use_roof_duality: bool = False
-    #: Seed of the randomized embedder; None uses the runner's seed.
-    embedding_seed: Optional[int] = None
     #: ``"optimization"`` refines unembedded dwave samples with a short
     #: cold logical anneal -- the analogue of SAPI's optimization
     #: postprocessing, standing in for the collective chain dynamics a
     #: real annealer has and single-spin-flip simulation lacks;
     #: ``"none"`` returns the raw majority-vote samples.
     postprocess: str = "optimization"
-    #: Sample retries, chain-strength escalation, classical fallback
-    #: tiers and the repair budget for hardware runs.
+    #: Sample retries and classical fallback tiers for hardware runs.
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     #: Certify every read end-to-end (energy recomputation + netlist
     #: replay + pins/assertions) and attach a Certificate to the result.
@@ -358,6 +324,11 @@ class RunOptions:
     netlist: object = None
 
     def __post_init__(self):
+        if self.solver not in SOLVERS:
+            raise ValueError(
+                f"unknown solver {self.solver!r}; choose one of "
+                f"{', '.join(SOLVERS)}"
+            )
         if self.num_reads < 1:
             raise ValueError("num_reads must be positive")
         if self.num_sweeps is not None and self.num_sweeps < 1:
@@ -435,15 +406,9 @@ class FindEmbeddingStage(Stage):
         return not _needs_embedding(artifact, context)
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
-        options: RunOptions = context.options
-        policy = options.retry_policy
         machine = artifact.machine = self._runner._get_machine()
         source_graph = source_graph_of(artifact.solve_model)
-        seed = (
-            self._runner.seed
-            if options.embedding_seed is None
-            else options.embedding_seed
-        )
+        seed = self._runner.seed
         cache = self._runner.embedding_cache
         # The key covers the *working* graph fingerprint, so degraded
         # machines never reuse embeddings found for healthier units,
@@ -452,7 +417,7 @@ class FindEmbeddingStage(Stage):
             source_graph,
             machine.working_graph,
             seed=seed,
-            max_attempts=policy.embedding_max_attempts,
+            max_attempts=EMBEDDING_MAX_ATTEMPTS,
             topology=machine.topology.fingerprint(),
         )
         embedding = cache.get(key)
@@ -466,7 +431,7 @@ class FindEmbeddingStage(Stage):
                 source_graph,
                 machine.working_graph,
                 seed=seed,
-                max_attempts=policy.embedding_max_attempts,
+                max_attempts=EMBEDDING_MAX_ATTEMPTS,
                 stats=estats,
             )
             cache.put(key, embedding)
@@ -608,7 +573,7 @@ class SampleStage(Stage):
         model = artifact.solve_model
         last_error = artifact.last_error
         for depth, tier in enumerate(policy.fallback_solvers, start=1):
-            if tier == "exact" and len(model) > policy.exact_fallback_limit:
+            if tier == "exact" and len(model) > EXACT_FALLBACK_LIMIT:
                 continue
             try:
                 artifact.sampleset = self._runner._classical_sample(
@@ -655,11 +620,11 @@ class UnembedStage(Stage):
     """Map physical samples back to logical variables (majority vote).
 
     Also the chain-health guard: when the majority-vote unembedding
-    reports a chain-break fraction above the policy threshold, the
-    physical Hamiltonian is rebuilt with an escalated chain strength and
-    re-sampled (itself under the retry policy), up to the policy's
-    escalation budget -- the standard remedy when chains come apart on
-    real hardware.
+    reports a chain-break fraction above :data:`CHAIN_BREAK_THRESHOLD`,
+    the physical Hamiltonian is rebuilt with an escalated chain strength
+    and re-sampled (itself under the retry policy), up to
+    :data:`MAX_CHAIN_STRENGTH_ESCALATIONS` times -- the standard remedy
+    when chains come apart on real hardware.
     """
 
     name = "unembed"
@@ -679,7 +644,6 @@ class UnembedStage(Stage):
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry_policy
         unembedded = unembed_sampleset(
             artifact.sampleset, artifact.embedding, artifact.solve_model
         )
@@ -688,8 +652,8 @@ class UnembedStage(Stage):
         chain_strength = default_chain_strength(artifact.solve_model)
         escalations = 0
         while (
-            break_fraction > policy.chain_break_threshold
-            and escalations < policy.max_chain_strength_escalations
+            break_fraction > CHAIN_BREAK_THRESHOLD
+            and escalations < MAX_CHAIN_STRENGTH_ESCALATIONS
             # Escalation means re-sampling; an expired deadline keeps
             # whatever the majority vote already recovered.
             and not (
@@ -703,7 +667,7 @@ class UnembedStage(Stage):
                 escalation=escalations,
                 break_fraction=break_fraction,
             )
-            chain_strength *= policy.chain_strength_factor
+            chain_strength *= CHAIN_STRENGTH_FACTOR
             annealed = self._runner._anneal_embedded(
                 artifact, chain_strength, options, context
             )
@@ -945,12 +909,10 @@ class RepairStage(Stage):
             not (options.certify and options.repair)
             or artifact.certificate is None
             or artifact.certificate.ok
-            or options.retry_policy.max_repair_rounds < 1
         )
 
     def run(self, artifact: RunArtifact, context: PipelineContext):
         options: RunOptions = context.options
-        policy = options.retry_policy
         metrics = context.metrics
         deadline = context.deadline
         certificate = artifact.certificate
@@ -963,7 +925,7 @@ class RepairStage(Stage):
         ):
             while (
                 not certificate.ok
-                and rounds < policy.max_repair_rounds
+                and rounds < MAX_REPAIR_ROUNDS
                 and not (deadline is not None and deadline.expired())
             ):
                 rounds += 1
@@ -985,7 +947,7 @@ class RepairStage(Stage):
                     artifact.solve_model,
                     artifact.sampleset,
                     bad_rows,
-                    max_sweeps=policy.repair_polish_sweeps,
+                    max_sweeps=REPAIR_POLISH_SWEEPS,
                     deadline=deadline,
                 )
                 certificate = _certify(artifact, options)
@@ -1039,16 +1001,15 @@ class RepairStage(Stage):
     ) -> bool:
         """Replace still-uncertified rows with freshly sampled reads."""
         options: RunOptions = context.options
-        policy = options.retry_policy
         escalated = dataclasses.replace(
             options,
-            num_reads=max(1, int(options.num_reads * policy.repair_read_factor)),
+            num_reads=max(1, int(options.num_reads * REPAIR_READ_FACTOR)),
         )
         answered_by = artifact.answered_by
 
         if answered_by == "dwave" and artifact.embedding is not None:
             chain_strength = default_chain_strength(artifact.solve_model) * (
-                policy.chain_strength_factor ** (round_index - 1)
+                CHAIN_STRENGTH_FACTOR ** (round_index - 1)
             )
             annealed = self._runner._anneal_embedded(
                 artifact, chain_strength, escalated, context
@@ -1401,10 +1362,7 @@ class QmasmRunner:
         solver = options.solver
 
         logical = self._to_logical(source, pins)
-        logical_model, representative = logical.to_ising(
-            chain_strength=options.chain_strength,
-            pin_strength=options.pin_strength,
-        )
+        logical_model, representative = logical.pinned_ising()
         run_deadline: Optional[Deadline] = (
             deadline
             if deadline is None or isinstance(deadline, Deadline)
@@ -1541,14 +1499,10 @@ class QmasmRunner:
 
         rows = list(sampleset.aggregate()) if len(sampleset) else [None]
         for row in rows:
-            spins: Dict[str, int] = dict(fixed)
-            if row is not None:
-                spins.update(row.assignment)
-            full = logical.expand_sample(spins, representative)
-            # Roof-fixed variables also expand through representatives.
-            for variable, rep in representative.items():
-                if rep in fixed:
-                    full[variable] = fixed[rep]
+            full = expand_read(
+                row.assignment if row is not None else {},
+                logical, representative, fixed,
+            )
             values = {
                 v: spin_to_bool(full[v]) for v in visible if v in full
             }
@@ -1558,7 +1512,7 @@ class QmasmRunner:
                 solutions[seen[key]].num_occurrences += occurrences
                 continue
             energy = (
-                row.energy if row is not None else logical_model.energy(spins)
+                row.energy if row is not None else logical_model.energy(fixed)
             )
             seen[key] = len(solutions)
             solutions.append(

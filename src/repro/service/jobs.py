@@ -24,6 +24,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.hdl.errors import VerilogError, format_diagnostic
 from repro.qmasm.parser import parse_pin, parse_qmasm
 from repro.qmasm.program import QmasmError
+from repro.qmasm.runner import SOLVERS
 
 
 class JobState:
@@ -78,8 +79,8 @@ class ServiceError(Exception):
         return body
 
 
-#: Solvers a job may request; mirrors the CLI's --solver choices.
-ALLOWED_SOLVERS = ("dwave", "sa", "sqa", "exact", "tabu", "qbsolv", "shard")
+#: Solvers a job may request: the runner's, as on the CLI.
+ALLOWED_SOLVERS = SOLVERS
 ALLOWED_LANGUAGES = ("verilog", "qmasm")
 
 #: Submission hard caps: a served endpoint must bound what one request

@@ -50,6 +50,7 @@ simulated annealing also accepts ``kernel="native"``.
 from __future__ import annotations
 
 import ctypes
+import glob
 import hashlib
 import os
 import platform
@@ -406,6 +407,17 @@ def _compile_native(path: str) -> Optional[str]:
             return (errors or lines or [f"cc exited with status {proc.returncode}"])[0]
         with open(built, "rb") as handle:
             atomic_write_bytes(path, handle.read())
+    # Best effort: delete the libraries other sources left here (never
+    # an install's ``*.tmp``).  A process of another version may lose
+    # its library between building and loading it; it then warns once
+    # and falls back to numpy, with the same samples.
+    directory, current = os.path.split(path)
+    for stale in glob.glob(os.path.join(glob.escape(directory), "metropolis-*.so")):
+        if os.path.basename(stale) != current:
+            try:
+                os.remove(stale)
+            except OSError:
+                pass
     return None
 
 

@@ -23,7 +23,8 @@ from repro.qmasm.certify import (
     certify_sampleset,
     expand_read,
 )
-from repro.qmasm.runner import QmasmRunner, RetryPolicy
+from repro.qmasm import runner as runner_module
+from repro.qmasm.runner import QmasmRunner
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 from repro.solvers.sampleset import SampleSet
 
@@ -332,25 +333,14 @@ def test_repair_classical_path_restores_certification():
 
 
 # ----------------------------------------------------------------------
-# Retry-policy knobs
+# Resilience constants
 # ----------------------------------------------------------------------
-def test_repair_policy_validation():
-    with pytest.raises(ValueError):
-        RetryPolicy(max_repair_rounds=-1)
-    with pytest.raises(ValueError):
-        RetryPolicy(repair_polish_sweeps=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(repair_read_factor=0.5)
-
-
-def test_zero_chain_break_threshold_is_strict():
+def test_zero_chain_break_threshold_is_strict(monkeypatch):
     """threshold=0.0 must NOT escalate on a clean (0.0) unembedding."""
     machine = _machine()
     runner = QmasmRunner(machine=machine, seed=0)
-    policy = RetryPolicy(chain_break_threshold=0.0)
-    result = runner.run(
-        AND_PROGRAM, solver="dwave", num_reads=30, retry_policy=policy
-    )
+    monkeypatch.setattr(runner_module, "CHAIN_BREAK_THRESHOLD", 0.0)
+    result = runner.run(AND_PROGRAM, solver="dwave", num_reads=30)
     break_fraction = result.sampleset.info.get("chain_break_fraction", 0.0)
     assert break_fraction == 0.0  # seed chosen for a clean unembedding
     # Quiet runs omit zero counters, so the key must be absent or 0.

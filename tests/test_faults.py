@@ -37,6 +37,7 @@ from repro.hardware.embedding import (
     unembed_sampleset,
 )
 from repro.ising.model import IsingModel
+from repro.qmasm import runner as runner_module
 from repro.qmasm.runner import QmasmRunner, RetryPolicy
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 from repro.solvers.sampleset import SampleSet
@@ -466,15 +467,11 @@ class TestChainBreakRepair:
         with pytest.raises(ValueError, match="fraction"):
             break_chains(samples, embedding, fraction=1.5)
 
-    def test_chain_strength_escalation_triggers(self):
+    def test_chain_strength_escalation_triggers(self, monkeypatch):
         machine = _small_machine(faults=FaultSpec(chain_break_rate=0.9, seed=1))
         runner = QmasmRunner(machine=machine, seed=0)
-        policy = RetryPolicy(
-            chain_break_threshold=0.02, max_chain_strength_escalations=2
-        )
-        result = runner.run(
-            AND_PROGRAM, solver="dwave", num_reads=60, retry_policy=policy
-        )
+        monkeypatch.setattr(runner_module, "CHAIN_BREAK_THRESHOLD", 0.02)
+        result = runner.run(AND_PROGRAM, solver="dwave", num_reads=60)
         resilience = result.info["resilience"]
         assert resilience["chain_strength_escalations"] >= 1
         assert result.info["chain_strength"] > 1.0
@@ -500,13 +497,7 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(max_sample_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(chain_break_threshold=2.0)
-        with pytest.raises(ValueError):
-            RetryPolicy(chain_strength_factor=1.0)
-        with pytest.raises(ValueError):
             RetryPolicy(fallback_solvers=("dwave",))
-        with pytest.raises(ValueError):
-            RetryPolicy(embedding_max_attempts=0)
 
     def test_transient_failures_are_retried(self):
         machine = _small_machine(faults=FaultSpec(fail_first_samples=2))
@@ -547,14 +538,11 @@ class TestRetryPolicy:
         )
         assert result.info["answered_by"] == "exact"
 
-    def test_exact_fallback_respects_size_limit(self):
+    def test_exact_fallback_respects_size_limit(self, monkeypatch):
         machine = _small_machine(faults=FaultSpec(sample_failure_rate=1.0))
         runner = QmasmRunner(machine=machine, seed=0)
-        policy = RetryPolicy(
-            max_sample_attempts=1,
-            fallback_solvers=("exact",),
-            exact_fallback_limit=2,
-        )
+        monkeypatch.setattr(runner_module, "EXACT_FALLBACK_LIMIT", 2)
+        policy = RetryPolicy(max_sample_attempts=1, fallback_solvers=("exact",))
         with pytest.raises(TransientSolverError, match="no fallback tier"):
             runner.run(
                 AND_PROGRAM, solver="dwave", num_reads=10, retry_policy=policy

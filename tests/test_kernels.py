@@ -360,6 +360,27 @@ def test_concurrent_first_builds_share_one_cache(tmp_path):
     assert [path.suffix for path in (cache / "repro").iterdir()] == [".so"]
 
 
+def test_native_build_prunes_stale_libraries(tmp_path, monkeypatch):
+    """Installing a build removes the libraries older sources left."""
+    require_native_tier()
+    cache = tmp_path / "cache" / "repro"
+    cache.mkdir(parents=True)
+    stale = cache / "metropolis-0123456789abcdef.so"
+    stale.write_bytes(b"a build of an older metropolis.c")
+    in_progress = cache / "metropolis-fedcba9876543210.so.4242.tmp"
+    in_progress.write_bytes(b"another process's install")
+    monkeypatch.setattr(kernels, "_native_state", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    result = SimulatedAnnealingSampler(seed=0).sample(
+        _ring_model(70), num_reads=8, num_sweeps=5, kernel="native"
+    )
+    assert result.info["kernel"] == kernels.NATIVE
+    assert not stale.exists()
+    assert in_progress.exists()
+    libraries = list(cache.glob("metropolis-*.so"))
+    assert len(libraries) == 1 and libraries[0] != stale
+
+
 @pytest.mark.parametrize("n, tier", [(20, "dense"), (80, "sparse")])
 def test_polish_rows_matches_steepest_descent(n, tier):
     """Repair's row polish and the greedy solver share one descent loop."""

@@ -420,13 +420,14 @@ def test_roof_duality_changes_embedding_cache_key(fresh_compiler):
 
 
 def test_explicit_embedding_seed_misses_cache(fresh_compiler):
-    """Section 6.1's variance sweep re-embeds per seed; an explicit
-    seed must bypass entries recorded under other seeds."""
+    """Section 6.1's variance sweep re-embeds per seed; a runner with
+    another seed must bypass entries recorded under other seeds."""
     program = fresh_compiler.compile(TINY_AND)
     fresh_compiler.run(program, solver="dwave", num_reads=10)
-    reseeded = fresh_compiler.run(
-        program, solver="dwave", num_reads=10, embedding_seed=123
-    )
+    runner = fresh_compiler.runner
+    reseeded = QmasmRunner(
+        machine=runner.machine, seed=123, embedding_cache=runner.embedding_cache
+    ).run(program.logical, solver="dwave", num_reads=10)
     assert reseeded.info["embedding_cache"] == "miss"
 
 

@@ -79,6 +79,13 @@ def test_unknown_solver_rejected(runner):
         runner.run(AND_PROGRAM, solver="oracle")
 
 
+def test_unknown_solver_rejected_before_assembly(runner):
+    """The options check fires before the source is even parsed."""
+    with pytest.raises(ValueError, match="unknown solver 'bogus'") as error:
+        runner.run("not qmasm", solver="bogus")
+    assert not isinstance(error.value, QmasmError)
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -128,10 +135,7 @@ def _every_option():
         num_sweeps=5,
         max_workers=1,
         annealing_time_us=30.0,
-        chain_strength=2.5,
-        pin_strength=3.5,
         use_roof_duality=True,
-        embedding_seed=3,
         postprocess="none",
         retry_policy=RetryPolicy(max_sample_attempts=2),
         certify=True,
