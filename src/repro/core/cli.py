@@ -73,7 +73,7 @@ import sys
 from typing import List, Optional
 
 from repro.core.compiler import CompileOptions, VerilogAnnealerCompiler
-from repro.core.faults import parse_fault_spec
+from repro.core.faults import FaultSpec, parse_fault_spec
 from repro.core.pipeline import format_pass_table
 from repro.qmasm.runner import SOLVERS
 from repro.solvers.machine import MachineProperties
@@ -313,7 +313,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return serve_main(list(argv[1:]))
     args = build_parser().parse_args(argv)
-    # Bad counts, deadlines and anneal times are usage errors: one line,
+    # Bad counts, deadlines, anneal times, fault and fleet specs, and
+    # --resume without --checkpoint-dir are usage errors: one line,
     # before any compiling.
     counts = (
         ("--num-reads", args.reads),
@@ -345,13 +346,35 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return 2
+    spec = None
+    try:
+        for text in args.inject_fault:
+            spec = parse_fault_spec(text, base=spec)
+    except ValueError as exc:
+        print(f"error: --inject-fault: {exc}", file=sys.stderr)
+        return 2
+    if args.fleet is not None:
+        from repro.solvers.fleet import parse_fleet_spec
+
+        try:
+            parse_fleet_spec(args.fleet)
+        except ValueError as exc:
+            print(f"error: --fleet: {exc}", file=sys.stderr)
+            return 2
+    if args.resume and args.checkpoint_dir is None:
+        print(
+            "error: --resume needs --checkpoint-dir (the directory the "
+            "interrupted run checkpointed into)",
+            file=sys.stderr,
+        )
+        return 2
 
     from repro.core import trace as _trace
 
     if args.trace or args.metrics:
         _trace.install()
     try:
-        return _run_command(args)
+        return _run_command(args, spec)
     finally:
         if args.trace:
             _trace.tracer().write_chrome_trace(args.trace)
@@ -361,7 +384,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _trace.uninstall()
 
 
-def _run_command(args: argparse.Namespace) -> int:
+def _run_command(args: argparse.Namespace, spec: Optional[FaultSpec]) -> int:
     if args.source == "-":
         source = sys.stdin.read()
     else:
@@ -376,14 +399,6 @@ def _run_command(args: argparse.Namespace) -> int:
             return 2
 
     machine = None
-    spec = None
-    if args.inject_fault:
-        try:
-            for text in args.inject_fault:
-                spec = parse_fault_spec(text, base=spec)
-        except ValueError as exc:
-            print(f"error: --inject-fault: {exc}", file=sys.stderr)
-            return 1
     if spec is not None or args.topology != "chimera" or args.topology_size:
         from repro.solvers.machine import DWaveSimulator
 
@@ -395,22 +410,6 @@ def _run_command(args: argparse.Namespace) -> int:
         machine = DWaveSimulator(
             properties=props, seed=args.seed, faults=spec
         )
-
-    if args.fleet is not None:
-        from repro.solvers.fleet import parse_fleet_spec
-
-        try:
-            parse_fleet_spec(args.fleet)
-        except ValueError as exc:
-            print(f"error: --fleet: {exc}", file=sys.stderr)
-            return 1
-    if args.resume and args.checkpoint_dir is None:
-        print(
-            "error: --resume needs --checkpoint-dir (the directory the "
-            "interrupted run checkpointed into)",
-            file=sys.stderr,
-        )
-        return 1
 
     compiler = VerilogAnnealerCompiler(
         machine=machine,

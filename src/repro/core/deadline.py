@@ -42,8 +42,9 @@ class DeadlineExceeded(RuntimeError):
         elapsed_s: seconds elapsed when the deadline tripped.
         budget_s: the original budget in seconds.
         partial: whatever partial artifact existed when time ran out
-            (e.g. a :class:`~repro.qmasm.runner.RunArtifact` with an
-            embedding but no samples); None if nothing was produced.
+            (for a run, the partly filled
+            :class:`~repro.qmasm.runner.RunResult`, with no solutions
+            yet); None if nothing was produced.
     """
 
     def __init__(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Hashable, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 

@@ -10,12 +10,12 @@ with ``$``-variables hidden; and it optionally uses roof duality "to
 elide qubits whose final value can be determined a priori".
 
 Execution mirrors qmasm's own assemble/embed/anneal phase split as an
-explicit pass pipeline (:mod:`repro.core.pipeline`): ``roof_duality``,
-``find_embedding``, ``scale_to_hardware``, ``sample``, ``unembed``, and
-``postprocess`` are first-class stages whose wall times and artifact
-counters land in :attr:`RunResult.stats`.  Minor embeddings -- the
-dominant execution-side cost, and a pure function of the logical
-interaction graph -- are memoized in an
+explicit pass pipeline (:mod:`repro.core.pipeline`): first-class stages
+from ``roof_duality`` through ``find_embedding``, ``sample`` and
+``unembed`` to ``report`` fill one :class:`RunResult`, and their wall
+times and artifact counters land in :attr:`RunResult.stats`.  Minor
+embeddings -- the dominant execution-side cost, and a pure function of
+the logical interaction graph -- are memoized in an
 :class:`~repro.core.cache.EmbeddingCache`, so repeated runs of the same
 compiled program (even with different pins) skip embedding entirely.
 
@@ -140,24 +140,42 @@ class Solution:
 
 @dataclass
 class RunResult:
-    """Everything a qmasm run produces."""
+    """Everything a qmasm run produces.
 
-    solutions: List[Solution]
-    sampleset: SampleSet
-    logical: LogicalProgram
-    logical_model: IsingModel
-    representative: Dict[str, str]
-    embedding: Optional[Embedding] = None
-    physical_model: Optional[IsingModel] = None
-    info: Dict = field(default_factory=dict)
+    The run stages fill it in order, from the pinned logical program and
+    its model; a field keeps its default until its stage has run.
+    """
+
+    logical: Optional[LogicalProgram] = None
+    #: The pinned program's logical Ising model.
+    logical_model: Optional[IsingModel] = None
+    representative: Dict[str, str] = field(default_factory=dict)
+    #: The model the solvers minimize: :attr:`logical_model` less the
+    #: spins roof duality fixed.
+    solve_model: Optional[IsingModel] = None
     #: Spins the roof-duality preprocessor proved and fixed before
     #: sampling; external re-certification
     #: (:func:`repro.qmasm.certify.certify_sampleset`) needs them to
     #: expand samples back over every variable.
     fixed_spins: Dict[str, int] = field(default_factory=dict)
+    #: The machine the embedding targets; set by ``find_embedding``.
+    machine: Optional[DWaveSimulator] = None
+    embedding: Optional[Embedding] = None
+    physical_model: Optional[IsingModel] = None
+    #: The physical model scaled into the machine's coefficient range.
+    scaled_model: Optional[IsingModel] = None
+    sampleset: Optional[SampleSet] = None
+    #: The tier whose reads the sample set holds (``"dwave"`` or a
+    #: classical solver); None until ``sample`` has run.
+    answered_by: Optional[str] = None
+    #: The last transient hardware error the retry policy gave up on.
+    last_error: Optional[Exception] = None
     #: The per-read certification verdict when ``certify=True`` ran;
     #: None when certification was not requested.
     certificate: Optional[Certificate] = None
+    #: The distinct solutions, best energy first; filled by ``report``.
+    solutions: List[Solution] = field(default_factory=list)
+    info: Dict = field(default_factory=dict)
     #: Per-stage wall times and counters for this execution.
     stats: PipelineStats = field(default_factory=dict)
     #: The run-scoped metrics registry: every retry/fallback/escalation
@@ -339,52 +357,28 @@ class RunOptions:
             raise ValueError(f"unknown postprocess {self.postprocess!r}")
 
 
-@dataclass
-class RunArtifact:
-    """The artifact threaded through the execution stages."""
-
-    logical: LogicalProgram
-    logical_model: IsingModel
-    representative: Dict[str, str]
-    solve_model: IsingModel
-    fixed: Dict[str, int] = field(default_factory=dict)
-    #: The machine the embedding targets; set by ``find_embedding``.
-    machine: Optional[DWaveSimulator] = None
-    embedding: Optional[Embedding] = None
-    physical_model: Optional[IsingModel] = None
-    scaled_model: Optional[IsingModel] = None
-    sampleset: Optional[SampleSet] = None
-    #: The tier whose reads the sample set holds (``"dwave"`` or a
-    #: classical solver); None until ``sample`` has run.
-    answered_by: Optional[str] = None
-    #: The last transient hardware error the retry policy gave up on.
-    last_error: Optional[Exception] = None
-    certificate: Optional[Certificate] = None
-    info: Dict = field(default_factory=dict)
-
-
 class RoofDualityStage(Stage):
     """Elide qubits whose final value can be determined a priori."""
 
     name = "roof_duality"
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         return not context.options.use_roof_duality
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
-        artifact.fixed = fix_variables(artifact.logical_model)
-        for variable, spin in artifact.fixed.items():
+    def run(self, artifact: RunResult, context: PipelineContext):
+        artifact.fixed_spins = fix_variables(artifact.logical_model)
+        for variable, spin in artifact.fixed_spins.items():
             artifact.solve_model = artifact.solve_model.fix_variable(variable, spin)
         return artifact
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         return {
-            "fixed": len(artifact.fixed),
+            "fixed": len(artifact.fixed_spins),
             "variables": len(artifact.solve_model),
         }
 
 
-def _needs_embedding(artifact: RunArtifact, context: PipelineContext) -> bool:
+def _needs_embedding(artifact: RunResult, context: PipelineContext) -> bool:
     return context.options.solver == "dwave" and len(artifact.solve_model) > 0
 
 
@@ -402,10 +396,10 @@ class FindEmbeddingStage(Stage):
     def __init__(self, runner: "QmasmRunner"):
         self._runner = runner
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         return not _needs_embedding(artifact, context)
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         machine = artifact.machine = self._runner._get_machine()
         source_graph = source_graph_of(artifact.solve_model)
         seed = self._runner.seed
@@ -440,7 +434,7 @@ class FindEmbeddingStage(Stage):
         artifact.embedding = embedding
         return artifact
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         return {
             "variables": len(artifact.embedding),
             "physical_qubits": artifact.embedding.total_qubits(),
@@ -453,10 +447,10 @@ class ScaleToHardwareStage(Stage):
 
     name = "scale_to_hardware"
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         return not _needs_embedding(artifact, context)
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         artifact.physical_model = embed_ising(
             artifact.solve_model,
             artifact.embedding,
@@ -467,7 +461,7 @@ class ScaleToHardwareStage(Stage):
         artifact.info["scale_factor"] = factor
         return artifact
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         return {
             "physical_variables": len(artifact.physical_model),
             "physical_couplers": artifact.physical_model.num_interactions(),
@@ -509,7 +503,7 @@ class SampleStage(Stage):
     def __init__(self, runner: "QmasmRunner"):
         self._runner = runner
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         options: RunOptions = context.options
         solver = options.solver
         num_reads = options.num_reads
@@ -544,7 +538,7 @@ class SampleStage(Stage):
 
     @staticmethod
     def _lift_shard_stats(
-        artifact: RunArtifact, context: PipelineContext
+        artifact: RunResult, context: PipelineContext
     ) -> None:
         """Surface shard-fleet resilience stats on the run metrics.
 
@@ -566,7 +560,7 @@ class SampleStage(Stage):
                 redispatches
             )
 
-    def _fall_back(self, artifact: RunArtifact, context: PipelineContext) -> None:
+    def _fall_back(self, artifact: RunResult, context: PipelineContext) -> None:
         """Degrade through the classical tiers after hardware gave up."""
         options: RunOptions = context.options
         policy = options.retry_policy
@@ -594,7 +588,7 @@ class SampleStage(Stage):
             f"tier could answer (last error: {last_error})"
         )
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         counters = {"samples": len(artifact.sampleset)}
         # Surface the annealing-core performance counters (which sweep
         # kernel ran, and how fast) in the --time-passes report.
@@ -635,14 +629,14 @@ class UnembedStage(Stage):
     def __init__(self, runner: "QmasmRunner"):
         self._runner = runner
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         if not _needs_embedding(artifact, context):
             return True
         # A classical fallback tier answered over the *logical* model;
         # there is nothing embedded to undo.
         return artifact.answered_by not in (None, "dwave")
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         options: RunOptions = context.options
         unembedded = unembed_sampleset(
             artifact.sampleset, artifact.embedding, artifact.solve_model
@@ -687,7 +681,7 @@ class UnembedStage(Stage):
         artifact.info["chain_break_fraction"] = break_fraction
         return artifact
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         return {
             "samples": len(artifact.sampleset),
             "chain_break_fraction": artifact.info.get(
@@ -709,7 +703,7 @@ class PostprocessStage(Stage):
     def __init__(self, runner: "QmasmRunner"):
         self._runner = runner
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         options: RunOptions = context.options
         return (
             options.solver != "dwave"
@@ -721,14 +715,14 @@ class PostprocessStage(Stage):
             or not len(artifact.sampleset)
         )
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         artifact.sampleset = self._runner._refine(
             artifact.solve_model, artifact.sampleset
         )
         artifact.info["postprocess"] = "optimization"
         return artifact
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         return {"samples": len(artifact.sampleset)}
 
 
@@ -756,7 +750,7 @@ class CorruptReadsStage(Stage):
     #: deadline-shortened runs exercise the same adversary.
     deadline_policy = "run"
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         machine = artifact.machine
         faults = machine.faults if machine is not None else None
         return (
@@ -767,7 +761,7 @@ class CorruptReadsStage(Stage):
             or artifact.answered_by not in (None, "dwave")
         )
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         from repro.solvers import kernels
 
         faults = artifact.machine.faults
@@ -784,16 +778,10 @@ class CorruptReadsStage(Stage):
         # Flipping spin i of row r changes the true energy by
         # -2 s_ri f_ri, so columns with a nonzero local field are
         # exactly the observable ones.
-        order = list(model.variables)
-        col_of = {v: i for i, v in enumerate(sampleset.variables)}
-        perm = np.array([col_of[v] for v in order], dtype=int)
         _, h_vec, indptr, indices, data = model.to_csr()
-        local_model = kernels.init_local_fields(
-            h_vec, indptr, indices, data,
-            sampleset.records[:, perm].astype(float),
+        local = kernels.init_local_fields(
+            h_vec, indptr, indices, data, sampleset.records.astype(float)
         )
-        local = np.empty_like(local_model)
-        local[:, perm] = local_model
         observable = np.abs(local) > 1e-12
         records, rows = faults.corrupt_logical(
             sampleset.records, columns=meaningful, observable=observable
@@ -814,13 +802,13 @@ class CorruptReadsStage(Stage):
             artifact.info["read_corruption_rows"] = [int(r) for r in rows]
         return artifact
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         return {
             "corrupted": len(artifact.info.get("read_corruption_rows", ()))
         }
 
 
-def _certify(artifact: RunArtifact, options: RunOptions) -> Certificate:
+def _certify(artifact: RunResult, options: RunOptions) -> Certificate:
     """Certify every read of the artifact's sample set.
 
     The verdict replaces ``artifact.certificate``, so later repair
@@ -831,7 +819,7 @@ def _certify(artifact: RunArtifact, options: RunOptions) -> Certificate:
         artifact.logical,
         artifact.representative,
         artifact.solve_model,
-        fixed=artifact.fixed,
+        fixed=artifact.fixed_spins,
         netlist=options.netlist,
     )
     return artifact.certificate
@@ -845,10 +833,10 @@ class CertifyStage(Stage):
     #: results trustworthy -- always run it, deadline or not.
     deadline_policy = "run"
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         return not context.options.certify or artifact.sampleset is None
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         certificate = _certify(artifact, context.options)
         metrics = context.metrics
         metrics.counter("certify.reads_total").inc(certificate.total_reads)
@@ -863,7 +851,7 @@ class CertifyStage(Stage):
         )
         return artifact
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         certificate = artifact.certificate
         return {
             "certified": certificate.certified_reads,
@@ -903,7 +891,7 @@ class RepairStage(Stage):
     def __init__(self, runner: "QmasmRunner"):
         self._runner = runner
 
-    def skip(self, artifact: RunArtifact, context: PipelineContext) -> bool:
+    def skip(self, artifact: RunResult, context: PipelineContext) -> bool:
         options: RunOptions = context.options
         return (
             not (options.certify and options.repair)
@@ -911,7 +899,7 @@ class RepairStage(Stage):
             or artifact.certificate.ok
         )
 
-    def run(self, artifact: RunArtifact, context: PipelineContext):
+    def run(self, artifact: RunResult, context: PipelineContext):
         options: RunOptions = context.options
         metrics = context.metrics
         deadline = context.deadline
@@ -987,7 +975,6 @@ class RepairStage(Stage):
             "reads_dropped": dropped,
             "certified_fraction_before": fraction_before,
         }
-        artifact.certificate = certificate
         context.metrics.gauge("certify.certified_fraction").set(
             certificate.certified_fraction
         )
@@ -995,7 +982,7 @@ class RepairStage(Stage):
 
     def _resample(
         self,
-        artifact: RunArtifact,
+        artifact: RunResult,
         context: PipelineContext,
         round_index: int,
     ) -> bool:
@@ -1037,10 +1024,7 @@ class RepairStage(Stage):
         keep = np.ones(len(sampleset), dtype=bool)
         for index in certificate.uncertified_rows():
             keep[index] = False
-        positions = [fresh.variables.index(v) for v in sampleset.variables]
-        records = np.vstack(
-            [sampleset.records[keep], fresh.records[:, positions]]
-        )
+        records = np.vstack([sampleset.records[keep], fresh.records])
         energies = np.concatenate(
             [sampleset.energies[keep], fresh.energies]
         )
@@ -1056,7 +1040,7 @@ class RepairStage(Stage):
         )
         return True
 
-    def counters(self, artifact: RunArtifact, context: PipelineContext):
+    def counters(self, artifact: RunResult, context: PipelineContext):
         repair = artifact.certificate.repair if artifact.certificate else {}
         return {
             "rounds": int(repair.get("rounds", 0)),
@@ -1065,6 +1049,8 @@ class RepairStage(Stage):
             if artifact.certificate
             else 1.0,
         }
+
+
 
 
 #: Stages whose time the legacy ``info["wall_time_s"]`` figure covers
@@ -1076,6 +1062,110 @@ _WALL_TIME_STAGES = (
     "unembed",
     "postprocess",
 )
+
+
+class ReportStage(Stage):
+    """Report solutions by symbolic name, as qmasm does (Section 4.4).
+
+    The reads become distinct solutions over the visible names, each
+    checked against the pins and every ``!assert``; the stage also
+    writes the run-wide ``info`` keys (deadline, certificate summary,
+    wall time, answering tier and resilience, injected faults).
+    """
+
+    name = "report"
+    #: Reporting turns reads already paid for into the result, so it
+    #: runs deadline or not.
+    deadline_policy = "run"
+
+    def run(self, artifact: RunResult, context: PipelineContext):
+        info = artifact.info
+        deadline = context.deadline
+        if deadline is not None:
+            sampler_interrupted = bool(
+                artifact.sampleset is not None
+                and artifact.sampleset.info.get("deadline_interrupted", False)
+            )
+            info["deadline"] = {
+                "budget_s": deadline.budget_s,
+                "elapsed_s": deadline.elapsed(),
+                "expired": deadline.expired(),
+                "sampler_interrupted": sampler_interrupted,
+            }
+            context.metrics.gauge("deadline.remaining_s").set(
+                deadline.remaining()
+            )
+            if sampler_interrupted:
+                context.metrics.counter("deadline.sampler_interrupts").inc()
+        if artifact.certificate is not None:
+            info["certificate"] = artifact.certificate.summary()
+        info["wall_time_s"] = sum(
+            record.wall_time_s
+            for record in context.stats.values()
+            if record.name in _WALL_TIME_STAGES
+        )
+        info["roof_duality_fixed"] = len(artifact.fixed_spins)
+        if artifact.answered_by is not None:
+            info["answered_by"] = artifact.answered_by
+            summary = {}
+            for key in _RESILIENCE_COUNTERS:
+                value = int(context.metrics.value(f"runner.{key}"))
+                if value:  # zeros are omitted: quiet runs stay quiet
+                    summary[key] = value
+            if artifact.last_error is not None:
+                summary["last_error"] = str(artifact.last_error)
+            info["resilience"] = summary
+        machine = artifact.machine
+        if machine is not None and machine.faults is not None:
+            info["fault_injection"] = machine.faults.counters()
+        artifact.solutions = _report(artifact)
+        return artifact
+
+    def counters(self, artifact: RunResult, context: PipelineContext):
+        return {
+            "solutions": len(artifact.solutions),
+            "valid": len(artifact.valid_solutions),
+        }
+
+
+def _report(result: RunResult) -> List[Solution]:
+    """The run's reads as distinct solutions, best energy first."""
+    logical = result.logical
+    sampleset = result.sampleset
+    fixed = result.fixed_spins
+    solutions: List[Solution] = []
+    seen: Dict[tuple, int] = {}
+    visible = logical.visible_variables()
+
+    rows = list(sampleset.aggregate()) if len(sampleset) else [None]
+    for row in rows:
+        full = expand_read(
+            row.assignment if row is not None else {},
+            logical, result.representative, fixed,
+        )
+        values = {
+            v: spin_to_bool(full[v]) for v in visible if v in full
+        }
+        key = tuple(sorted(values.items()))
+        occurrences = row.num_occurrences if row is not None else 1
+        if key in seen:
+            solutions[seen[key]].num_occurrences += occurrences
+            continue
+        energy = (
+            row.energy if row is not None else result.logical_model.energy(fixed)
+        )
+        seen[key] = len(solutions)
+        solutions.append(
+            Solution(
+                values=values,
+                energy=energy,
+                num_occurrences=occurrences,
+                failed_assertions=logical.check_assertions(full),
+                pins_respected=logical.pins_satisfied(full),
+            )
+        )
+    solutions.sort(key=lambda s: (s.energy, -s.num_occurrences))
+    return solutions
 
 
 class QmasmRunner:
@@ -1130,6 +1220,7 @@ class QmasmRunner:
             CorruptReadsStage(),
             CertifyStage(),
             RepairStage(self),
+            ReportStage(),
         ]
 
     def _get_machine(self) -> DWaveSimulator:
@@ -1142,7 +1233,7 @@ class QmasmRunner:
     # ------------------------------------------------------------------
     def _sample_with_retry(
         self,
-        artifact: RunArtifact,
+        artifact: RunResult,
         model: IsingModel,
         options: "RunOptions",
         context: PipelineContext,
@@ -1183,7 +1274,7 @@ class QmasmRunner:
 
     def _anneal_embedded(
         self,
-        artifact: RunArtifact,
+        artifact: RunResult,
         chain_strength: float,
         options: RunOptions,
         context: PipelineContext,
@@ -1292,33 +1383,28 @@ class QmasmRunner:
         only descends the requested rows through the shared sweep
         kernels -- the repair loop's "polish the offenders" primitive.
         Polished rows get their energies recomputed; the returned set
-        re-sorts by the usual stable energy order.
+        re-sorts by the usual stable energy order.  Columns are in
+        ``model.variables`` order, as every sampler returns them.
         """
         if not len(rows):
             return sampleset
-        order = list(model.variables)
-        positions = [sampleset.variables.index(v) for v in order]
         row_index = np.asarray(list(rows), dtype=int)
-        spins = sampleset.records[row_index][:, positions].astype(float)
+        spins = sampleset.records[row_index].astype(float)
 
         _, h_vec, indptr, indices, data = model.to_csr()
         from repro.solvers import kernels
 
         chosen = kernels.choose_kernel(
-            len(order), len(indices), None, num_reads=len(row_index)
+            len(model), len(indices), None, num_reads=len(row_index)
         )
         fields = kernels.init_local_fields(h_vec, indptr, indices, data, spins)
         flip = kernels.make_mixed_flip_updater(chosen, indptr, indices, data)
         kernels.steepest_descent(spins, fields, flip, max_sweeps, deadline)
 
-        # Scatter the polished spins back into sample-set column order.
-        inverse = [order.index(v) for v in sampleset.variables]
         records = sampleset.records.copy()
-        records[row_index] = spins[:, inverse].astype(records.dtype)
+        records[row_index] = spins.astype(records.dtype)
         energies = sampleset.energies.copy()
-        energies[row_index] = model.energies(
-            records[row_index].astype(float), order=list(sampleset.variables)
-        )
+        energies[row_index] = model.energies(spins)
         return SampleSet(
             sampleset.variables,
             records,
@@ -1348,7 +1434,7 @@ class QmasmRunner:
                 stages (postprocess, repair) are skipped once expired;
                 required stages that cannot start raise
                 :class:`~repro.core.deadline.DeadlineExceeded` carrying
-                the partial artifact and the interrupted stage name.
+                the partial :class:`RunResult` and the stage's name.
             **options: the :class:`RunOptions` fields (``solver``,
                 ``num_reads``, ``certify``, ...); an unknown keyword is a
                 ``TypeError`` and a bad value a ``ValueError``, both
@@ -1359,8 +1445,6 @@ class QmasmRunner:
             solutions and per-stage :attr:`RunResult.stats`.
         """
         options = RunOptions(**options)
-        solver = options.solver
-
         logical = self._to_logical(source, pins)
         logical_model, representative = logical.pinned_ising()
         run_deadline: Optional[Deadline] = (
@@ -1369,75 +1453,21 @@ class QmasmRunner:
             else Deadline(float(deadline))
         )
         context = PipelineContext(options=options, deadline=run_deadline)
-        artifact = RunArtifact(
+        result = RunResult(
             logical=logical,
             logical_model=logical_model,
             representative=representative,
             solve_model=logical_model,
-            info={"solver": solver},
-        )
-        with _trace.span("run", solver=solver) as run_span:
-            artifact = PassManager(self.run_stages, name="run").run(
-                artifact, context
-            )
-
-        info = artifact.info
-        if run_deadline is not None:
-            sampler_interrupted = bool(
-                artifact.sampleset is not None
-                and artifact.sampleset.info.get("deadline_interrupted", False)
-            )
-            info["deadline"] = {
-                "budget_s": run_deadline.budget_s,
-                "elapsed_s": run_deadline.elapsed(),
-                "expired": run_deadline.expired(),
-                "sampler_interrupted": sampler_interrupted,
-            }
-            context.metrics.gauge("deadline.remaining_s").set(
-                run_deadline.remaining()
-            )
-            if sampler_interrupted:
-                context.metrics.counter("deadline.sampler_interrupts").inc()
-        if artifact.certificate is not None:
-            info["certificate"] = artifact.certificate.summary()
-        info["wall_time_s"] = sum(
-            record.wall_time_s
-            for record in context.stats.values()
-            if record.name in _WALL_TIME_STAGES
-        )
-        info["roof_duality_fixed"] = len(artifact.fixed)
-        if artifact.answered_by is not None:
-            info["answered_by"] = artifact.answered_by
-            summary = {}
-            for key in _RESILIENCE_COUNTERS:
-                value = int(context.metrics.value(f"runner.{key}"))
-                if value:  # zeros are omitted: quiet runs stay quiet
-                    summary[key] = value
-            if artifact.last_error is not None:
-                summary["last_error"] = str(artifact.last_error)
-            info["resilience"] = summary
-        machine = artifact.machine
-        if machine is not None and machine.faults is not None:
-            info["fault_injection"] = machine.faults.counters()
-        solutions = self._report(
-            logical, artifact.sampleset, representative, artifact.fixed,
-            logical_model,
-        )
-        return RunResult(
-            solutions=solutions,
-            sampleset=artifact.sampleset,
-            logical=logical,
-            logical_model=logical_model,
-            representative=representative,
-            embedding=artifact.embedding,
-            physical_model=artifact.physical_model,
-            info=info,
-            fixed_spins=dict(artifact.fixed),
-            certificate=artifact.certificate,
+            info={"solver": options.solver},
             stats=context.stats,
             metrics=context.metrics,
-            trace=run_span if run_span.is_recording else None,
         )
+        with _trace.span("run", solver=options.solver) as run_span:
+            result = PassManager(self.run_stages, name="run").run(
+                result, context
+            )
+        result.trace = run_span if run_span.is_recording else None
+        return result
 
     # ------------------------------------------------------------------
     def _refine(self, model: IsingModel, sampleset: SampleSet) -> SampleSet:
@@ -1451,9 +1481,7 @@ class QmasmRunner:
         from repro.solvers.neal import default_beta_range
 
         _, beta_cold = default_beta_range(model)
-        order = list(model.variables)
-        positions = [sampleset.variables.index(v) for v in order]
-        initial = sampleset.records[:, positions]
+        initial = sampleset.records
         sampler = SimulatedAnnealingSampler(seed=self.seed)
         refined = sampler.sample(
             model,
@@ -1484,45 +1512,3 @@ class QmasmRunner:
                 extra[variable] = value
         # Never mutate the caller's program: pins apply to this run only.
         return logical.with_pins(extra)
-
-    def _report(
-        self,
-        logical: LogicalProgram,
-        sampleset: SampleSet,
-        representative: Dict[str, str],
-        fixed: Dict[str, int],
-        logical_model: IsingModel,
-    ) -> List[Solution]:
-        solutions: List[Solution] = []
-        seen: Dict[tuple, int] = {}
-        visible = logical.visible_variables()
-
-        rows = list(sampleset.aggregate()) if len(sampleset) else [None]
-        for row in rows:
-            full = expand_read(
-                row.assignment if row is not None else {},
-                logical, representative, fixed,
-            )
-            values = {
-                v: spin_to_bool(full[v]) for v in visible if v in full
-            }
-            key = tuple(sorted(values.items()))
-            occurrences = row.num_occurrences if row is not None else 1
-            if key in seen:
-                solutions[seen[key]].num_occurrences += occurrences
-                continue
-            energy = (
-                row.energy if row is not None else logical_model.energy(fixed)
-            )
-            seen[key] = len(solutions)
-            solutions.append(
-                Solution(
-                    values=values,
-                    energy=energy,
-                    num_occurrences=occurrences,
-                    failed_assertions=logical.check_assertions(full),
-                    pins_respected=logical.pins_satisfied(full),
-                )
-            )
-        solutions.sort(key=lambda s: (s.energy, -s.num_occurrences))
-        return solutions

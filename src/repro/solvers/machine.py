@@ -236,9 +236,10 @@ class DWaveSimulator:
             any_interrupted = any_interrupted or bool(
                 raw.info.get("deadline_interrupted", False)
             )
-            # Undo the gauge on readout (and restore variable order).
-            positions = [raw.variables.index(v) for v in order]
-            rows = raw.records[:, positions].astype(float) * gauge[None, :]
+            # Undo the gauge on readout; the columns are in model order.
+            # Column-major rows keep the energies' summation order, and so
+            # the last bits that order near-equal reads, as pinned.
+            rows = np.asfortranarray(raw.records).astype(float) * gauge[None, :]
             records.append(rows.astype(np.int8))
 
         all_records = np.vstack(records)

@@ -323,7 +323,7 @@ def test_bad_fleet_spec_reports_error(verilog_file, capsys):
     code = main(
         [verilog_file, "--run", "--solver", "shard", "--fleet", "Q9"]
     )
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert "error:" in err
     assert "Traceback" not in err
@@ -333,7 +333,7 @@ def test_resume_requires_checkpoint_dir(verilog_file, capsys):
     code = main(
         [verilog_file, "--run", "--solver", "shard", "--resume"]
     )
-    assert code == 1
+    assert code == 2
     err = capsys.readouterr().err
     assert "--checkpoint-dir" in err
 

@@ -684,7 +684,7 @@ class TestCli:
 
     def test_bad_fault_spec_reports_error(self, verilog_file, capsys):
         code = main([verilog_file, "--run", "--inject-fault", "bogus=1"])
-        assert code == 1
+        assert code == 2
         assert "unknown fault key" in capsys.readouterr().err
 
     def test_no_fallback_fails_loudly(self, verilog_file, capsys):

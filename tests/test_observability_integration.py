@@ -40,6 +40,7 @@ RUN_STAGES = [
     "run.corrupt_reads",
     "run.certify",
     "run.repair",
+    "run.report",
 ]
 
 

@@ -16,7 +16,9 @@ from repro.core.cache import (
     EmbeddingCache,
     options_fingerprint,
 )
+from repro.core import trace
 from repro.core.cli import main
+from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.core.pipeline import (
     PassManager,
     PipelineContext,
@@ -25,7 +27,8 @@ from repro.core.pipeline import (
     format_pass_table,
 )
 from repro.hardware.embedding import graph_fingerprint
-from repro.qmasm.runner import QmasmRunner
+from repro.qmasm import runner as runner_module
+from repro.qmasm.runner import QmasmRunner, RunResult
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 from tests.conftest import FIGURE_2A, LISTING_3_COUNTER
 
@@ -49,6 +52,7 @@ RUN_STAGES = [
     "corrupt_reads",
     "certify",
     "repair",
+    "report",
 ]
 
 AND_PROGRAM = "!include <stdcell>\n!use_macro AND g\n"
@@ -359,9 +363,70 @@ def test_run_stats_cover_every_stage(fresh_compiler):
     program = fresh_compiler.compile(FIGURE_2A)
     result = fresh_compiler.run(program, solver="exact")
     assert list(result.stats) == RUN_STAGES
-    # Classical solver: only 'sample' runs, embedding stages skip.
-    assert _executed(result.stats) == ["sample"]
+    # Classical solver: only 'sample' and 'report' run, embedding
+    # stages skip.
+    assert _executed(result.stats) == ["sample", "report"]
     assert result.stats["sample"].counters["samples"] == len(result.sampleset)
+
+
+def test_solutions_are_reported_inside_the_report_span(
+    fresh_compiler, monkeypatch
+):
+    """Building the solutions is the 'report' stage's work: its time is
+    a stage record and a span, never time between stages."""
+    report = runner_module._report
+    open_spans = []
+
+    def spy(result):
+        open_spans.append(trace.tracer().current().name)
+        return report(result)
+
+    monkeypatch.setattr(runner_module, "_report", spy)
+    program = fresh_compiler.compile(FIGURE_2A)
+    with trace.capture():
+        result = fresh_compiler.run(program, solver="exact")
+    assert open_spans == ["run.report"]
+    assert result.solutions
+    counters = {
+        "solutions": len(result.solutions),
+        "valid": len(result.valid_solutions),
+    }
+    assert result.stats["report"].counters == counters
+    span = result.trace.find("run.report")
+    assert span.attributes["solutions"] == counters["solutions"]
+
+
+class _TimeRunsOut(Stage):
+    """Expires the run's (fake-clock) deadline when it runs."""
+
+    name = "time_runs_out"
+
+    def __init__(self, now):
+        self._now = now
+
+    def run(self, artifact, context):
+        self._now[0] = 1.0
+        return artifact
+
+
+def test_deadline_exceeded_carries_the_partly_filled_result():
+    runner = QmasmRunner(seed=0)
+    now = [0.0]
+    runner.run_stages.insert(3, _TimeRunsOut(now))
+    deadline = Deadline(1e-3, clock=lambda: now[0])
+    with pytest.raises(DeadlineExceeded) as excinfo:
+        runner.run(AND_PROGRAM, solver="exact", deadline=deadline)
+    assert excinfo.value.stage == "run.sample"
+    partial = excinfo.value.partial
+    assert isinstance(partial, RunResult)
+    assert partial.logical_model is not None
+    assert partial.solve_model is partial.logical_model
+    assert list(partial.stats) == [
+        "roof_duality", "find_embedding", "scale_to_hardware", "time_runs_out",
+    ]
+    assert partial.sampleset is None
+    assert partial.solutions == []
+    assert partial.info == {"solver": "exact"}
 
 
 def test_dwave_run_stats_populate_embedding_stages(fresh_compiler):
@@ -512,6 +577,9 @@ def test_cli_time_passes_with_run(verilog_file, capsys):
     assert "compile passes:" in out
     assert "run passes:" in out
     assert "sample" in out
+    run_table = out.split("run passes:")[1]
+    rows = [line.split()[0] for line in run_table.splitlines() if line.strip()]
+    assert rows[1:] == RUN_STAGES + ["total"]
 
 
 def test_cli_stats_flag(verilog_file, capsys):

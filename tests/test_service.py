@@ -297,6 +297,11 @@ class TestLifecycle:
         assert status == 200
         names = [s["name"] for s in trace["stages"]]
         assert "elaborate" in names and "sample" in names
+        # The solution report is the run's last stage.
+        last = trace["stages"][-1]
+        assert (last["pipeline"], last["name"]) == ("run", "report")
+        assert not last["skipped"]
+        assert last["counters"]["solutions"] == result["num_solutions"]
 
     def test_unknown_job_is_structured_404(self, service_server):
         _, client = service_server

@@ -5,12 +5,21 @@ import random
 import numpy as np
 import pytest
 
+from repro.hardware.embedding import (
+    embed_ising,
+    find_embedding,
+    source_graph_of,
+    unembed_sampleset,
+)
 from repro.ising.cells import cell_hamiltonian
 from repro.ising.model import IsingModel
 from repro.solvers.exact import ExactSolver
 from repro.solvers.greedy import SteepestDescentSolver
+from repro.solvers.machine import DWaveSimulator, MachineProperties
 from repro.solvers.neal import SimulatedAnnealingSampler, default_beta_range
 from repro.solvers.qbsolv import QBSolv, clamped_subproblem
+from repro.solvers.sampleset import SampleSet
+from repro.solvers.shard import ShardSolver
 from repro.solvers.sqa import PathIntegralAnnealer
 from repro.solvers.tabu import TabuSampler
 
@@ -237,3 +246,98 @@ def test_qbsolv_chained_ferromagnet():
         model.add_interaction(i, i + 1, -1.0)
     result = QBSolv(subproblem_size=16, seed=4).sample(model, num_repeats=30)
     assert result.first.energy <= -67.0
+
+
+# ----------------------------------------------------------------------
+# Column order: the run path never permutes a sample set's columns
+# ----------------------------------------------------------------------
+def _scrambled_ring(n: int = 12) -> IsingModel:
+    """A frustrated ring whose variables were added in neither sorted
+    nor ``repr`` order, so a sampler that reorders its columns shows."""
+    labels = [f"v{(7 * i) % n}" for i in range(n)]
+    model = IsingModel()
+    for i, label in enumerate(labels):
+        model.add_variable(label, 0.1 * (i % 3 - 1))
+    for i in range(n):
+        model.add_interaction(labels[i], labels[(i + 1) % n], 1.0)
+    model.add_interaction(labels[0], labels[n // 2], -0.5)
+    return model
+
+
+def _small_machine() -> DWaveSimulator:
+    return DWaveSimulator(
+        properties=MachineProperties(cells=2, dropout_fraction=0.0), seed=0
+    )
+
+
+def _biased_qubits() -> IsingModel:
+    """A physical model on the small machine, qubits added highest
+    first, whose biases outweigh its couplings: one ground state."""
+    edges = sorted(_small_machine().working_graph.edges())[:10]
+    model = IsingModel()
+    qubits = sorted({q for edge in edges for q in edge}, reverse=True)
+    for i, q in enumerate(qubits):
+        model.add_variable(q, 1.0 if i % 3 else -1.0)
+    for u, v in edges:
+        model.add_interaction(u, v, -0.1)
+    return model
+
+
+def _unembedded(model: IsingModel) -> SampleSet:
+    graph = _small_machine().working_graph
+    embedding = find_embedding(source_graph_of(model), graph, seed=0)
+    physical = embed_ising(model, embedding, graph)
+    qubits = list(physical.variables)
+    records = np.random.default_rng(0).choice([-1, 1], size=(3, len(qubits)))
+    raw = SampleSet.from_array(qubits, records, physical)
+    return unembed_sampleset(raw, embedding, model)
+
+
+_COLUMN_SOURCES = {
+    "sa": lambda m: SimulatedAnnealingSampler(seed=1).sample(
+        m, num_reads=3, num_sweeps=10
+    ),
+    "sqa": lambda m: PathIntegralAnnealer(seed=1).sample(
+        m, num_reads=3, num_sweeps=10
+    ),
+    "tabu": lambda m: TabuSampler(seed=1).sample(m, num_reads=3, max_iter=20),
+    "greedy": lambda m: SteepestDescentSolver(seed=1).sample(m, num_reads=3),
+    "exact": lambda m: ExactSolver().sample(m, num_lowest=3),
+    "qbsolv": lambda m: QBSolv(subproblem_size=4, seed=1).sample(
+        m, num_reads=2, num_repeats=2
+    ),
+    "shard": lambda m: ShardSolver(
+        properties=MachineProperties(cells=2, dropout_fraction=0.0),
+        machines=2,
+        shard_size=5,
+        num_reads_per_shard=2,
+        max_rounds=2,
+        seed=1,
+    ).sample(m, num_reads=1),
+    # Two gauge batches, so the reads pass through the gauged and the
+    # annealed copies of the model.
+    "dwave": lambda m: _small_machine().sample_ising(
+        m, num_reads=4, apply_noise=False, num_spin_reversal_transforms=2
+    ),
+    "unembed": _unembedded,
+}
+
+
+@pytest.mark.parametrize("source", sorted(_COLUMN_SOURCES))
+def test_columns_come_back_in_model_order(source):
+    """Every sampler, the machine and ``unembed_sampleset`` return
+    columns in ``list(model.variables)`` order; the runner's refine,
+    polish, repair and corruption steps index them that way."""
+    model = _biased_qubits() if source == "dwave" else _scrambled_ring()
+    order = list(model.variables)
+    assert order != sorted(order, key=repr)
+    sampleset = _COLUMN_SOURCES[source](model)
+    assert sampleset.variables == order
+    np.testing.assert_allclose(
+        sampleset.energies, model.energies(sampleset.records.astype(float))
+    )
+    if source == "dwave":
+        # The machine labels its reads in model order without permuting
+        # them, so each read must sit in its qubits' columns.
+        ground = -np.sign(list(model.linear.values()))
+        assert (sampleset.records == ground).all()
