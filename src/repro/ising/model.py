@@ -48,6 +48,20 @@ def spin_to_bool(spin: int) -> bool:
     raise ValueError(f"not a spin value: {spin!r}")
 
 
+def spins_to_bits(spins: np.ndarray) -> np.ndarray:
+    """:func:`spin_to_bool` on every entry of a spin array, at once.
+
+    Raises ``ValueError`` naming the first entry, in row-major order,
+    that is not exactly +/-1.
+    """
+    spins = np.asarray(spins)
+    bits = spins == SPIN_TRUE
+    bad = ~bits & (spins != SPIN_FALSE)
+    if bad.any():
+        raise ValueError(f"not a spin value: {spins[bad][0].item()!r}")
+    return bits
+
+
 def _edge(u: Variable, v: Variable) -> Edge:
     """Canonical (order-independent) key for the pair {u, v}."""
     if u == v:
@@ -325,8 +339,14 @@ class IsingModel:
 
         csr_order, h_vec, indptr, indices, data = self.to_csr()
         if order is not None:
-            if list(order) != csr_order:
-                perm = [list(order).index(v) for v in csr_order]
+            order = list(order)
+            if order != csr_order:
+                # First occurrence wins, as with list.index.
+                position = {v: i for i, v in reversed(list(enumerate(order)))}
+                try:
+                    perm = [position[v] for v in csr_order]
+                except KeyError as exc:
+                    raise ValueError(f"{exc.args[0]!r} is not in order") from None
                 samples = samples[:, perm]
         return kernels.batched_energies(
             h_vec, indptr, indices, data, samples, self.offset

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
-from repro.ising.model import IsingModel, bool_to_spin, spin_to_bool
+import numpy as np
+
+from repro.ising.model import IsingModel, spins_to_bits
 from repro.qmasm.program import (
     Alias,
     AssertExpr,
@@ -275,24 +277,54 @@ class LogicalProgram:
         }
 
     def check_assertions(self, sample: Mapping[str, int]) -> List[str]:
-        """Return the source text of every failed ``!assert``."""
-        values = {v: spin_to_bool(s) for v, s in sample.items()}
-        failures = []
-        for expression, source in self.assertions:
-            try:
-                passed = bool(expression.evaluate(values))
-            except QmasmError:
-                passed = False  # references a variable that was optimized out
-            if not passed:
-                failures.append(source)
-        return failures
+        """Return the source text of every failed ``!assert`` (one read)."""
+        bits = spins_to_bits(np.array([list(sample.values())]))
+        column = {variable: j for j, variable in enumerate(sample)}
+        return list(self.failed_assertions(bits, column)[0])
 
-    def pins_satisfied(self, sample: Mapping[str, int]) -> bool:
-        return all(
-            variable not in sample
-            or sample[variable] == bool_to_spin(value)
-            for variable, value in self.pins.items()
-        )
+    def failed_assertions(
+        self, bits: np.ndarray, column: Mapping[str, int]
+    ) -> List[Tuple[str, ...]]:
+        """Per read, the source text of every failed ``!assert``.
+
+        ``bits`` is a ``(reads, variables)`` Boolean matrix whose
+        columns ``column`` names.  Each assertion is evaluated once, on
+        whole columns; one on a variable missing from ``column`` fails
+        on every read.
+        """
+        names = {
+            name for expression, _ in self.assertions
+            for name in expression.variables() if name in column
+        }
+        ints = bits[:, [column[name] for name in names]].view(np.int8).astype(object)
+        values = dict(zip(names, ints.T))
+        failed = np.zeros((len(bits), len(self.assertions)), dtype=bool)
+        for k, (expression, _source) in enumerate(self.assertions):
+            try:
+                value = expression.evaluate(values)
+            except QmasmError:
+                failed[:, k] = True  # references a variable that was optimized out
+                continue
+            holds = value.astype(bool) if isinstance(value, np.ndarray) else bool(value)
+            failed[:, k] = np.logical_not(holds)
+        return labels_per_row(failed, [source for _, source in self.assertions])
+
+    def pins_respected(
+        self, bits: np.ndarray, column: Mapping[str, int]
+    ) -> np.ndarray:
+        """Per read, whether every pinned variable in ``column`` holds
+        its pinned value (``bits`` as in :meth:`failed_assertions`)."""
+        present = [variable for variable in self.pins if variable in column]
+        want = np.array([self.pins[v] for v in present], dtype=bool)
+        return (bits[:, [column[v] for v in present]] == want).all(axis=1)
+
+
+def labels_per_row(mask: np.ndarray, labels: Sequence[str]) -> List[Tuple[str, ...]]:
+    """For each row of a Boolean matrix, the labels of its True columns."""
+    out: List[List[str]] = [[] for _ in range(len(mask))]
+    for row, k in zip(*(index.tolist() for index in np.nonzero(mask))):
+        out[row].append(labels[k])
+    return [tuple(row) for row in out]
 
 
 def assemble(program: Program) -> LogicalProgram:

@@ -4,20 +4,22 @@ The compiled artifact is a *relation*: by the definition of NP, any spin
 assignment the annealer returns can be verified in polynomial time by
 replaying the gate-level netlist forward (Section 5.2 of the paper; Bian
 et al. lean on the same verify-the-answer-classically loop for SAT).
-This module is that verifier, applied per read:
+This module is that verifier.  It checks every read, and runs each
+check once per call on the ``(reads, variables)`` spin matrix, after
+one gather expands the reads over every QMASM variable:
 
 1. **Energy recomputation** -- the read's reported energy is recomputed
    from the logical Ising model; disagreement means the read was
    corrupted somewhere between sampling and reporting (a
    low-energy-*looking* but wrong read).
-2. **Netlist replay** -- every combinational cell's truth function
+2. **Netlist replay** -- every combinational cell's truth table
    (:data:`repro.ising.cells.CELL_LIBRARY`, the same tables
    :mod:`repro.synth.simulate` evaluates) is checked against the net
    values the read assigns, using the net->variable naming rule shared
    with :func:`repro.edif2qmasm.translate.net_variable_names`.  A cell
    whose output disagrees with its inputs is a gate violation.
 3. **Pins and assertions** -- the read must respect every ``--pin`` and
-   pass every ``!assert``.
+   pass every ``!assert`` (each evaluated on whole columns).
 
 Each read is classified as one of:
 
@@ -37,12 +39,15 @@ from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core import trace as _trace
 from repro.ising.cells import CELL_LIBRARY
-from repro.ising.model import IsingModel, spin_to_bool
-from repro.qmasm.assembler import LogicalProgram
+from repro.ising.model import IsingModel, spins_to_bits
+from repro.qmasm.assembler import LogicalProgram, labels_per_row
 from repro.solvers.sampleset import SampleSet
 
 #: Read classification states, from best to worst.
@@ -169,34 +174,74 @@ class Certificate:
         return "; ".join(parts)
 
 
-#: One replayable gate: (cell name, input variables, output variable,
-#: truth function).  Constants get ``()`` inputs and a constant lambda.
-_GateCheck = Tuple[str, Tuple[str, ...], str, object]
+@lru_cache(maxsize=None)
+def _truth_table(kind: str) -> np.ndarray:
+    """A cell's output for every input combination, indexed by the
+    inputs packed as bits (the first input is bit 0)."""
+    from repro.synth.netlist import CONSTANT_CELLS
+
+    if kind in CONSTANT_CELLS:
+        table = np.array([bool(CONSTANT_CELLS[kind])])
+    else:
+        spec = CELL_LIBRARY[kind]
+        width = len(spec.inputs)
+        table = np.array([
+            bool(spec.function(*((index >> bit) & 1 == 1 for bit in range(width))))
+            for index in range(1 << width)
+        ])
+    table.flags.writeable = False  # shared by every call
+    return table
 
 
-def _netlist_gate_checks(netlist) -> Tuple[List[_GateCheck], List[str]]:
-    """Compile the netlist into per-read gate checks over QMASM names."""
+def _replay_netlist(
+    netlist, bits: np.ndarray, column: Mapping[str, int]
+) -> Tuple[List[str], np.ndarray, List[str]]:
+    """Replay every combinational cell on every read at once.
+
+    Cells of one kind are checked together: their packed input bits
+    index the kind's truth table, and the result is compared with their
+    output columns.  Uses the net->variable naming rule shared with
+    :func:`repro.edif2qmasm.translate.net_variable_names`.
+
+    Returns:
+        ``(checked, violations, unchecked)``: the replayed cells in
+        netlist order, a ``(reads, len(checked))`` matrix that is True
+        where a cell's output contradicts its inputs, and the cells that
+        could not be replayed, in netlist order -- flip-flops, which
+        relate two *time steps* (unrolled designs have none), and cells
+        with a net missing from ``column`` (optimized out of the
+        program, or a netlist the program was not translated from).
+    """
     from repro.edif2qmasm.translate import net_variable_names
     from repro.synth.netlist import CONSTANT_CELLS
 
     net_vars = net_variable_names(netlist)
-    checks: List[_GateCheck] = []
+    checked: List[str] = []
     unchecked: List[str] = []
+    groups: Dict[str, List[Tuple[int, List[int]]]] = {}
     for cell in netlist.cells.values():
         if cell.is_sequential:
-            # Flip-flops relate two *time steps*; unrolled designs have
-            # none, and un-unrolled ones cannot be checked statically.
             unchecked.append(cell.name)
             continue
-        output = net_vars[cell.output_net]
-        if cell.kind in CONSTANT_CELLS:
-            value = bool(CONSTANT_CELLS[cell.kind])
-            checks.append((cell.name, (), output, lambda v=value: v))
+        ports = () if cell.kind in CONSTANT_CELLS else CELL_LIBRARY[cell.kind].inputs
+        nets = [cell.connections[port] for port in ports] + [cell.output_net]
+        names = [net_vars[net] for net in nets]
+        if any(name not in column for name in names):
+            unchecked.append(cell.name)
             continue
-        spec = CELL_LIBRARY[cell.kind]
-        inputs = tuple(net_vars[cell.connections[p]] for p in spec.inputs)
-        checks.append((cell.name, inputs, output, spec.function))
-    return checks, unchecked
+        groups.setdefault(cell.kind, []).append(
+            (len(checked), [column[name] for name in names])
+        )
+        checked.append(cell.name)
+
+    violations = np.zeros((len(bits), len(checked)), dtype=bool)
+    for kind, members in groups.items():
+        positions = [position for position, _ in members]
+        columns = np.array([cols for _, cols in members])
+        inputs = bits[:, columns[:, :-1]]  # (reads, cells, inputs)
+        packed = inputs @ (1 << np.arange(inputs.shape[2]))
+        violations[:, positions] = _truth_table(kind)[packed] != bits[:, columns[:, -1]]
+    return checked, violations, unchecked
 
 
 def expand_read(
@@ -221,6 +266,38 @@ def expand_read(
     return full
 
 
+def expand_reads(
+    records: np.ndarray,
+    variables: Sequence[str],
+    representative: Mapping[str, str],
+    fixed: Optional[Mapping[str, int]] = None,
+) -> Tuple[Dict[str, int], np.ndarray]:
+    """:func:`expand_read` on every row of a spin matrix, in one gather.
+
+    Returns ``(column, spins)``: ``spins`` holds one row per read and
+    one column per QMASM variable the reads or the fixed spins cover,
+    and ``column`` maps each such variable to its column.  A fixed
+    spin wins over a sampled one, as in :func:`expand_read`.
+    """
+    fixed = fixed or {}
+    sampled = {variable: j for j, variable in enumerate(variables)}
+    fixed_column = {rep: records.shape[1] + k for k, rep in enumerate(fixed)}
+    source = np.concatenate(
+        [records, np.broadcast_to(
+            np.array(list(fixed.values()), dtype=int), (len(records), len(fixed))
+        )],
+        axis=1,
+    )
+    column: Dict[str, int] = {}
+    gather: List[int] = []
+    for variable, rep in representative.items():
+        j = fixed_column.get(rep, sampled.get(rep))
+        if j is not None:
+            column[variable] = len(gather)
+            gather.append(j)
+    return column, source[:, gather]
+
+
 def certify_sampleset(
     sampleset: SampleSet,
     logical: LogicalProgram,
@@ -231,6 +308,9 @@ def certify_sampleset(
     energy_tolerance: float = 1e-6,
 ) -> Certificate:
     """Certify every read of a logical sample set.
+
+    Every check runs once per call on the ``(reads, variables)`` spin
+    matrix, not once per read.
 
     Args:
         sampleset: logical samples (post-unembedding for hardware runs).
@@ -249,74 +329,76 @@ def certify_sampleset(
     Returns:
         A :class:`Certificate` whose ``reads`` align with the sample
         set's rows.
-    """
-    checks: List[_GateCheck] = []
-    unchecked: List[str] = []
-    if netlist is not None:
-        checks, unchecked = _netlist_gate_checks(netlist)
 
-    certificate = Certificate(
-        counts={state: 0 for state in STATES},
-        gates_checked=len(checks),
-        unchecked_cells=tuple(unchecked),
-        energy_tolerance=energy_tolerance,
-    )
-    with _trace.span(
-        "certify.check", reads=len(sampleset), gates=len(checks)
-    ):
+    Raises:
+        ValueError: a read holds a spin that is not +/-1.
+    """
+    reads = len(sampleset)
+    with _trace.span("certify.check", reads=reads) as span:
         # Recompute every row's energy in one vectorized pass.
-        if len(sampleset):
-            recomputed_all = model.energies(
+        if reads:
+            recomputed = model.energies(
                 sampleset.records.astype(float), order=list(sampleset.variables)
             )
         else:
-            recomputed_all = []
-        for index, sample in enumerate(sampleset):
-            full = expand_read(
-                sample.assignment, logical, representative, fixed
-            )
-            recomputed = float(recomputed_all[index])
-            tolerance = energy_tolerance * max(
-                1.0, abs(sample.energy)
-            )
-            energy_ok = abs(recomputed - sample.energy) <= tolerance
+            recomputed = np.zeros(0)
+        reported = sampleset.energies
+        tolerance = energy_tolerance * np.maximum(1.0, np.abs(reported))
+        energy_matches = np.abs(recomputed - reported) <= tolerance
 
-            values = {v: spin_to_bool(s) for v, s in full.items()}
-            violations: List[str] = []
-            for name, inputs, output, function in checks:
-                if output not in values or any(
-                    v not in values for v in inputs
-                ):
-                    continue  # net optimized out of the logical program
-                expected = bool(function(*(values[v] for v in inputs)))
-                if values[output] != expected:
-                    violations.append(name)
-            pins_ok = logical.pins_satisfied(full)
-            failed = tuple(logical.check_assertions(full))
+        column, spins = expand_reads(
+            sampleset.records, sampleset.variables, representative, fixed
+        )
+        bits = spins_to_bits(spins)
+        checked: List[str] = []
+        unchecked: List[str] = []
+        violations = np.zeros((reads, 0), dtype=bool)
+        if netlist is not None:
+            checked, violations, unchecked = _replay_netlist(netlist, bits, column)
+        span.set_attribute("gates", len(checked))
 
-            if violations or failed or not pins_ok:
+        certificate = Certificate(
+            counts={state: 0 for state in STATES},
+            gates_checked=len(checked),
+            unchecked_cells=tuple(unchecked),
+            energy_tolerance=energy_tolerance,
+        )
+        rows = zip(
+            labels_per_row(violations, checked),
+            logical.failed_assertions(bits, column),
+            logical.pins_respected(bits, column).tolist(),
+            energy_matches.tolist(),
+            reported.tolist(),
+            recomputed.tolist(),
+            sampleset.occurrences.tolist(),
+        )
+        for index, row in enumerate(rows):
+            cells, failed, pins_ok, energy_ok, e_reported, e_recomputed, count = row
+            if cells or failed or not pins_ok:
                 state = CONSTRAINT_VIOLATION
             elif not energy_ok:
                 state = ENERGY_MISMATCH
             else:
                 state = CERTIFIED
-            read = ReadCheck(
+            certificate.reads.append(ReadCheck(
                 index=index,
                 state=state,
-                energy_reported=float(sample.energy),
-                energy_recomputed=float(recomputed),
-                gate_violations=tuple(violations),
+                energy_reported=e_reported,
+                energy_recomputed=e_recomputed,
+                gate_violations=cells,
                 failed_assertions=failed,
                 pins_respected=pins_ok,
-                num_occurrences=sample.num_occurrences,
-            )
-            certificate.reads.append(read)
-            certificate.counts[state] += read.num_occurrences
-            for name in violations:
-                certificate.gate_violation_counts[name] = (
-                    certificate.gate_violation_counts.get(name, 0)
-                    + read.num_occurrences
-                )
+                num_occurrences=count,
+            ))
+            certificate.counts[state] += count
+
+        # Per-cell counts, keyed in order of each cell's first violation.
+        hit = np.flatnonzero(violations.any(axis=0))
+        if len(hit):
+            first = violations[:, hit].argmax(axis=0)
+            weighted = sampleset.occurrences @ violations
+            for k in hit[np.lexsort((hit, first))]:
+                certificate.gate_violation_counts[checked[k]] = int(weighted[k])
     _trace.event(
         "certify.result",
         reads=certificate.total_reads,

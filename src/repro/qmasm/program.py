@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
+
+import numpy as np
 
 
 class QmasmError(Exception):
@@ -102,10 +105,46 @@ class Program:
 # ----------------------------------------------------------------------
 # Assertion expressions ("!assert Y = A|B")
 # ----------------------------------------------------------------------
+#
+# An assertion is evaluated on columns, every read at once.  A variable
+# stands for a column of 0/1 values, one per read, held as Python ints
+# in a numpy object array, so the arithmetic keeps Python's unbounded
+# integers (a constant may have any number of digits).  A comparison or
+# ``~`` gives 0 or 1, like ``int(a == b)``.
+
+
+def _flag(truth):
+    """A truth column (or a single truth) as 0/1."""
+    return truth.astype(object) if isinstance(truth, np.ndarray) else int(truth)
+
+
+_BINARY_OPERATIONS = {
+    "&": operator.and_,
+    "|": operator.or_,
+    "^": operator.xor,
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "=": lambda a, b: _flag(a == b),
+    "/=": lambda a, b: _flag(a != b),
+    "<": lambda a, b: _flag(a < b),
+    ">": lambda a, b: _flag(a > b),
+    "<=": lambda a, b: _flag(a <= b),
+    ">=": lambda a, b: _flag(a >= b),
+}
+
+
 class AssertExpr:
     """Base class for assertion expression nodes."""
 
-    def evaluate(self, values: Mapping[str, bool]) -> int:
+    def evaluate(self, values: Mapping[str, np.ndarray]):
+        """The expression's value on every read.
+
+        ``values`` maps each variable to its column of 0/1 Python ints;
+        the result is such a column, or one int when the expression
+        names no variable.  Raises :class:`QmasmError` on a variable
+        missing from ``values`` or an unknown operator.
+        """
         raise NotImplementedError
 
     def variables(self) -> List[str]:
@@ -116,10 +155,10 @@ class AssertExpr:
 class AssertVar(AssertExpr):
     name: str
 
-    def evaluate(self, values: Mapping[str, bool]) -> int:
+    def evaluate(self, values: Mapping[str, np.ndarray]):
         if self.name not in values:
             raise QmasmError(f"assertion references unknown variable {self.name!r}")
-        return int(values[self.name])
+        return values[self.name]
 
     def variables(self) -> List[str]:
         return [self.name]
@@ -132,7 +171,7 @@ class AssertVar(AssertExpr):
 class AssertConst(AssertExpr):
     value: int
 
-    def evaluate(self, values: Mapping[str, bool]) -> int:
+    def evaluate(self, values: Mapping[str, np.ndarray]):
         return self.value
 
     def variables(self) -> List[str]:
@@ -144,10 +183,10 @@ class AssertUnary(AssertExpr):
     op: str
     operand: AssertExpr
 
-    def evaluate(self, values: Mapping[str, bool]) -> int:
+    def evaluate(self, values: Mapping[str, np.ndarray]):
         value = self.operand.evaluate(values)
         if self.op == "~":
-            return int(not value)
+            return _flag(value == 0)
         if self.op == "-":
             return -value
         raise QmasmError(f"unknown unary operator {self.op!r}")
@@ -162,26 +201,13 @@ class AssertBinary(AssertExpr):
     left: AssertExpr
     right: AssertExpr
 
-    def evaluate(self, values: Mapping[str, bool]) -> int:
+    def evaluate(self, values: Mapping[str, np.ndarray]):
         a = self.left.evaluate(values)
         b = self.right.evaluate(values)
-        operations = {
-            "&": lambda: a & b,
-            "|": lambda: a | b,
-            "^": lambda: a ^ b,
-            "+": lambda: a + b,
-            "-": lambda: a - b,
-            "*": lambda: a * b,
-            "=": lambda: int(a == b),
-            "/=": lambda: int(a != b),
-            "<": lambda: int(a < b),
-            ">": lambda: int(a > b),
-            "<=": lambda: int(a <= b),
-            ">=": lambda: int(a >= b),
-        }
-        if self.op not in operations:
+        operation = _BINARY_OPERATIONS.get(self.op)
+        if operation is None:
             raise QmasmError(f"unknown operator {self.op!r} in assertion")
-        return operations[self.op]()
+        return operation(a, b)
 
     def variables(self) -> List[str]:
         return self.left.variables() + self.right.variables()

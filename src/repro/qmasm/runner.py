@@ -57,17 +57,17 @@ from repro.hardware.embedding import (
     unembed_sampleset,
 )
 from repro.hardware.scaling import scale_to_hardware
-from repro.ising.model import IsingModel, spin_to_bool
+from repro.ising.model import IsingModel, spins_to_bits
 from repro.ising.roofduality import fix_variables
 from repro.qmasm.assembler import LogicalProgram, assemble
-from repro.qmasm.certify import Certificate, certify_sampleset, expand_read
+from repro.qmasm.certify import Certificate, certify_sampleset, expand_reads
 from repro.qmasm.parser import parse_pin, parse_qmasm
 from repro.qmasm.program import Pin, Program, QmasmError
 from repro.solvers.exact import ExactSolver
 from repro.solvers.machine import DWaveSimulator
 from repro.solvers.neal import SimulatedAnnealingSampler
 from repro.solvers.qbsolv import QBSolv
-from repro.solvers.sampleset import SampleSet
+from repro.solvers.sampleset import SampleSet, merge_rows
 from repro.solvers.tabu import TabuSampler
 
 
@@ -338,7 +338,10 @@ class RunOptions:
     repair: bool = False
     #: The gate-level netlist to replay during certification, when the
     #: program came from the Verilog flow; None limits certification to
-    #: energy/pin/assertion checks.
+    #: energy/pin/assertion checks.  It must be the netlist the QMASM
+    #: was translated from (``CompiledProgram.edif_netlist``): with any
+    #: other, the net names miss the program's variables, and reads are
+    #: flagged or cells go unchecked.
     netlist: object = None
 
     def __post_init__(self):
@@ -1129,41 +1132,41 @@ class ReportStage(Stage):
 
 
 def _report(result: RunResult) -> List[Solution]:
-    """The run's reads as distinct solutions, best energy first."""
-    logical = result.logical
-    sampleset = result.sampleset
-    fixed = result.fixed_spins
-    solutions: List[Solution] = []
-    seen: Dict[tuple, int] = {}
-    visible = logical.visible_variables()
+    """The run's reads as distinct solutions, best energy first.
 
-    rows = list(sampleset.aggregate()) if len(sampleset) else [None]
-    for row in rows:
-        full = expand_read(
-            row.assignment if row is not None else {},
-            logical, result.representative, fixed,
+    Reads that agree on every visible variable are one solution, with
+    the energy of the first and the summed occurrences; the checker
+    runs once, on the first read of each solution.
+    """
+    logical = result.logical
+    fixed = result.fixed_spins
+    sampleset = result.sampleset
+    if len(sampleset):
+        records, variables = sampleset.records, sampleset.variables
+        occurrences = sampleset.occurrences
+    else:  # no reads: report the roof-duality-fixed spins alone
+        records, variables, occurrences = np.zeros((1, 0), np.int8), [], np.ones(1, int)
+    column, spins = expand_reads(records, variables, result.representative, fixed)
+    visible = [v for v in logical.visible_variables() if v in column]
+    shown = spins_to_bits(spins[:, [column[v] for v in visible]])
+    first, totals = merge_rows(shown, occurrences)
+
+    bits = spins_to_bits(spins[first])
+    failed = logical.failed_assertions(bits, column)
+    pins_ok = logical.pins_respected(bits, column)
+    solutions = [
+        Solution(
+            values=dict(zip(visible, shown[row].tolist())),
+            energy=(
+                float(sampleset.energies[row]) if len(sampleset)
+                else result.logical_model.energy(fixed)
+            ),
+            num_occurrences=int(totals[k]),
+            failed_assertions=list(failed[k]),
+            pins_respected=bool(pins_ok[k]),
         )
-        values = {
-            v: spin_to_bool(full[v]) for v in visible if v in full
-        }
-        key = tuple(sorted(values.items()))
-        occurrences = row.num_occurrences if row is not None else 1
-        if key in seen:
-            solutions[seen[key]].num_occurrences += occurrences
-            continue
-        energy = (
-            row.energy if row is not None else result.logical_model.energy(fixed)
-        )
-        seen[key] = len(solutions)
-        solutions.append(
-            Solution(
-                values=values,
-                energy=energy,
-                num_occurrences=occurrences,
-                failed_assertions=logical.check_assertions(full),
-                pins_respected=logical.pins_satisfied(full),
-            )
-        )
+        for k, row in enumerate(first)
+    ]
     solutions.sort(key=lambda s: (s.energy, -s.num_occurrences))
     return solutions
 

@@ -35,6 +35,26 @@ class Sample:
         return self.assignment[v]
 
 
+def merge_rows(
+    matrix: np.ndarray, occurrences: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a matrix, in order of first occurrence.
+
+    Returns ``(first, counts)``: the index of each distinct row's first
+    occurrence, ascending, and the summed ``occurrences`` of its rows.
+    """
+    _, first, inverse = np.unique(
+        matrix, axis=0, return_index=True, return_inverse=True
+    )
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    counts = np.zeros(len(first), dtype=int)
+    # inverse's shape differs across numpy versions.
+    np.add.at(counts, rank[inverse.reshape(-1)], occurrences)
+    return first[order], counts
+
+
 class SampleSet:
     """An energy-sorted collection of samples over a shared variable order.
 
@@ -143,25 +163,19 @@ class SampleSet:
     # Transformation
     # ------------------------------------------------------------------
     def aggregate(self) -> "SampleSet":
-        """Merge duplicate rows, summing occurrence counts."""
+        """Merge duplicate rows, summing occurrence counts.
+
+        Each distinct row keeps the place and the energy of its first
+        occurrence.
+        """
         if not len(self):
             return self
-        seen: Dict[Tuple[int, ...], int] = {}
-        rows, energies, counts = [], [], []
-        for i in range(len(self)):
-            key = tuple(int(s) for s in self.records[i])
-            if key in seen:
-                counts[seen[key]] += int(self.occurrences[i])
-            else:
-                seen[key] = len(rows)
-                rows.append(self.records[i])
-                energies.append(self.energies[i])
-                counts.append(int(self.occurrences[i]))
+        first, counts = merge_rows(self.records, self.occurrences)
         return SampleSet(
             self.variables,
-            np.array(rows, dtype=np.int8),
-            np.array(energies),
-            np.array(counts, dtype=int),
+            self.records[first].astype(np.int8, copy=False),
+            self.energies[first],
+            counts,
             dict(self.info),
         )
 

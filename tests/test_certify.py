@@ -171,6 +171,42 @@ def test_gate_replay_names_the_violated_cell():
     assert "worst cells" in broken.summary()
 
 
+MULT3_V = """
+module mult (A, B, C);
+   input [2:0] A;
+   input [2:0] B;
+   output [5:0] C;
+   assign C = A * B;
+endmodule
+"""
+
+
+def test_cells_that_cannot_be_replayed_are_reported():
+    """A cell whose nets the program lacks is listed, not counted."""
+    compiler = VerilogAnnealerCompiler(seed=0)
+    program = compiler.compile(MULT3_V)
+    result = compiler.run(program, solver="sa", num_reads=10, certify=True)
+    assert result.certificate.gates_checked == len(program.edif_netlist.cells)
+    assert result.certificate.unchecked_cells == ()
+
+    # The pre-EDIF netlist numbers its internal nets differently, so
+    # some of its cells name variables the program does not have.
+    stale = certify_sampleset(
+        result.sampleset,
+        result.logical,
+        result.representative,
+        result.solve_model,
+        fixed=result.fixed_spins,
+        netlist=program.netlist,
+    )
+    names = [cell.name for cell in program.netlist.cells.values()]
+    unchecked = list(stale.unchecked_cells)
+    assert unchecked
+    assert unchecked == [name for name in names if name in unchecked]
+    assert stale.gates_checked == len(names) - len(unchecked)
+    assert not set(stale.gate_violation_counts) & set(unchecked)
+
+
 def test_pin_violation_is_constraint_violation(runner):
     result = runner.run(
         AND_PROGRAM,

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ising.model import IsingModel
 from repro.solvers.sampleset import Sample, SampleSet
+from tests.certify_reference import aggregate as reference_aggregate
 
 
 @pytest.fixture()
@@ -53,6 +54,30 @@ def test_aggregate_merges_duplicates(model):
     assert len(agg) == 2
     assert agg.total_reads() == 3
     assert agg.first.num_occurrences == 2
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[1, -1]],
+    [[1, 1]] * 5,
+    "random",
+])
+def test_aggregate_matches_the_row_loop(model, rows):
+    """One ``np.unique`` pass gives what the old per-row loop gave."""
+    rng = np.random.default_rng(3)
+    if rows == "random":
+        rows = rng.choice([-1, 1], size=(60, 2))
+    records = np.array(rows, dtype=np.int8).reshape(len(rows), 2)
+    energies = rng.normal(size=len(records)).round(1)  # ties keep row order
+    occurrences = rng.integers(0, 4, size=len(records))
+    ss = SampleSet(["a", "b"], records, energies, occurrences, {"k": 1})
+    got, want = ss.aggregate(), reference_aggregate(ss)
+    assert got.variables == want.variables
+    assert got.records.dtype == want.records.dtype
+    assert np.array_equal(got.records, want.records)
+    assert np.array_equal(got.energies, want.energies)
+    assert np.array_equal(got.occurrences, want.occurrences)
+    assert got.info == want.info
 
 
 def test_histogram(model):
