@@ -339,14 +339,8 @@ class IsingModel:
 
         csr_order, h_vec, indptr, indices, data = self.to_csr()
         if order is not None:
-            order = list(order)
-            if order != csr_order:
-                # First occurrence wins, as with list.index.
-                position = {v: i for i, v in reversed(list(enumerate(order)))}
-                try:
-                    perm = [position[v] for v in csr_order]
-                except KeyError as exc:
-                    raise ValueError(f"{exc.args[0]!r} is not in order") from None
+            if list(order) != csr_order:
+                perm = [list(order).index(v) for v in csr_order]
                 samples = samples[:, perm]
         return kernels.batched_energies(
             h_vec, indptr, indices, data, samples, self.offset

@@ -1148,15 +1148,21 @@ def _report(result: RunResult) -> List[Solution]:
         records, variables, occurrences = np.zeros((1, 0), np.int8), [], np.ones(1, int)
     column, spins = expand_reads(records, variables, result.representative, fixed)
     visible = [v for v in logical.visible_variables() if v in column]
-    shown = spins_to_bits(spins[:, [column[v] for v in visible]])
-    first, totals = merge_rows(shown, occurrences)
+    shown_columns = [column[v] for v in visible]
+    first, totals = merge_rows(spins[:, shown_columns], occurrences)
 
-    bits = spins_to_bits(spins[first])
+    # A spin that is not +/-1 raises for the first bad entry read by
+    # read: each solution's first read in turn, its visible spins before
+    # all its spins.  Grouping on the raw spins makes a read with a bad
+    # visible spin the first read of a solution.
+    picked = spins[first]
+    bits = spins_to_bits(np.hstack([picked[:, shown_columns], picked]))
+    shown, bits = bits[:, :len(visible)], bits[:, len(visible):]
     failed = logical.failed_assertions(bits, column)
     pins_ok = logical.pins_respected(bits, column)
     solutions = [
         Solution(
-            values=dict(zip(visible, shown[row].tolist())),
+            values=dict(zip(visible, shown[k].tolist())),
             energy=(
                 float(sampleset.energies[row]) if len(sampleset)
                 else result.logical_model.energy(fixed)

@@ -15,8 +15,8 @@ run can hand the checker:
 * variables neither sampled nor fixed (nets optimized out), so cells
   go unchecked and assertions name missing variables;
 * ``!assert`` trees over every operator, with constants beyond 2**63;
-* duplicate reads, occurrence counts, pins, and a spin that is not
-  +/-1 (a ``ValueError`` with the same message).
+* duplicate reads, occurrence counts, pins, and up to three spins
+  that are not +/-1 (a ``ValueError`` naming the same one).
 
 The expanded matrix's column order follows set iteration, so CI runs
 this file under two hash seeds.
@@ -125,9 +125,9 @@ def scenarios(draw):
         for row in rng.choice(reads, size=draw(st.integers(0, min(reads, 3))), replace=False):
             energies[row] += draw(st.sampled_from([1e-9, 8e-7, 2e-6, 0.5, 3.0]))
     if reads and variables and draw(st.integers(0, 9)) == 0:
-        records[rng.integers(reads), rng.integers(len(variables))] = draw(
-            st.sampled_from([0, 2, -3])
-        )
+        # Up to three bad spins: the error names the first one row by row.
+        for value in draw(st.lists(st.sampled_from([0, 2, -3]), min_size=1, max_size=3)):
+            records[rng.integers(reads), rng.integers(len(variables))] = value
     occurrences = rng.integers(1, 4, size=reads)
     sampleset = SampleSet(variables, records, energies, occurrences)
     return dict(
@@ -195,3 +195,37 @@ def test_check_assertions_matches_reference(case):
         assert _outcome(logical.check_assertions, full) == _outcome(
             reference.check_assertions, logical, full
         )
+
+
+def test_report_raises_for_the_bad_spin_the_per_read_report_named():
+    """Read by read, the report checked a read's visible spins, then all
+    the spins of a read that began a new solution."""
+    logical = assemble(parse_qmasm("A 1\nB 1\n$h 1\nA $h -1\n"))
+    model, representative = logical.pinned_ising()
+    # The hidden spin's column first, whatever the hash seed.
+    representative = {v: representative[v] for v in sorted(representative)}
+    variables = sorted(model.variables)
+    assert list(representative) == variables == ["$h", "A", "B"]
+
+    def report_both(*reads):
+        records = np.array(reads, dtype=np.int8)
+        sampleset = SampleSet(
+            variables, records, np.arange(len(records), dtype=float),
+            np.ones(len(records), dtype=int),
+        )
+        result = RunResult(
+            logical=logical, logical_model=model, representative=representative,
+            solve_model=model, sampleset=sampleset,
+        )
+        return _outcome(_report, result), _outcome(reference.report, result)
+
+    # Read 0's hidden spin comes before read 1's visible spin.
+    got, want = report_both([2, 1, 1], [1, 0, 1])
+    assert got == want == ("ValueError", "not a spin value: 2")
+    # Within a read, the visible spins come first.
+    got, want = report_both([2, 0, 1])
+    assert got == want == ("ValueError", "not a spin value: 0")
+    # Read 1 repeats read 0's solution, so its hidden spin is not checked.
+    got, want = report_both([1, 1, 1], [2, 1, 1])
+    assert got == want
+    assert got[0] == "ok" and got[1][0].num_occurrences == 2

@@ -140,31 +140,6 @@ def test_energies_handles_permuted_order(triangle_model):
     assert triangle_model.energies(samples, order=order)[0] == pytest.approx(expected)
 
 
-def test_energies_in_a_shuffled_order_equal_model_order():
-    """A shuffled column order gives the model-order energies, and the
-    bits of the permutation ``list.index`` used to find."""
-    rng = np.random.default_rng(5)
-    model = IsingModel()
-    names = [f"v{i}" for i in range(300)]
-    for name in names:
-        model.add_variable(name, float(rng.normal()))
-    for _ in range(900):
-        a, b = rng.choice(len(names), size=2, replace=False)
-        model.add_interaction(names[a], names[b], float(rng.normal()))
-    order, _, _, _, _ = model.to_csr()
-    samples = rng.choice([-1.0, 1.0], size=(40, len(order)))
-    expected = model.energies(samples, order=order)
-    for shuffled in (order[::-1], list(rng.permutation(order))):
-        spins = samples[:, [order.index(v) for v in shuffled]]
-        got = model.energies(spins, order=shuffled)
-        assert np.allclose(got, expected, rtol=0, atol=1e-9)
-        # The last bits follow the array layout, so compare like with like.
-        permuted = spins[:, [shuffled.index(v) for v in order]]
-        assert np.array_equal(got, model.energies(permuted, order=order))
-    with pytest.raises(ValueError):
-        model.energies(samples[:, 1:], order=order[1:])
-
-
 def test_spins_to_bits_matches_spin_to_bool():
     spins = np.array([[1, -1], [-1, -1]], dtype=np.int8)
     assert spins_to_bits(spins).tolist() == [[True, False], [False, False]]
