@@ -56,9 +56,9 @@ from repro.qmasm.parser import parse_qmasm
 from repro.qmasm.runner import QmasmRunner, RunResult
 from repro.solvers.machine import DWaveSimulator
 from repro.synth.netlist import Netlist
-from repro.synth.opt import optimize
+from repro.synth.opt import optimize_in_place
 from repro.synth.simulate import NetlistSimulator
-from repro.synth.techmap import techmap
+from repro.synth.techmap import techmap_in_place
 from repro.synth.unroll import unroll
 
 
@@ -162,7 +162,7 @@ class OptimizeStage(Stage):
         return not context.options.run_optimizer
 
     def run(self, artifact: CompiledProgram, context: PipelineContext):
-        artifact.netlist = optimize(artifact.netlist)
+        optimize_in_place(artifact.netlist)
         return artifact
 
     def counters(self, artifact: CompiledProgram, context: PipelineContext):
@@ -178,7 +178,7 @@ class TechmapStage(Stage):
         return not context.options.run_techmap
 
     def run(self, artifact: CompiledProgram, context: PipelineContext):
-        artifact.netlist = techmap(artifact.netlist)
+        techmap_in_place(artifact.netlist)
         return artifact
 
     def counters(self, artifact: CompiledProgram, context: PipelineContext):
@@ -205,7 +205,7 @@ class UnrollStage(Stage):
             initial_value=options.initial_state,
         )
         if options.run_optimizer:
-            artifact.netlist = optimize(artifact.netlist)
+            optimize_in_place(artifact.netlist)
         context.add_counters(steps=options.unroll_steps)
         return artifact
 

@@ -37,6 +37,13 @@ this).  Enable collection for a region of code with::
 or process-wide with :func:`install` / :func:`uninstall` (the CLI's
 ``--trace``/``--metrics`` flags do exactly this).
 
+While a real tracer is ambient, a ``gc.callbacks`` hook charges every
+cyclic-collector pause to the innermost open span (attribute ``gc_s``,
+seconds) and counts collections per generation
+(``gc.collections.gen0`` ... ``gen2``), so a traced run says which
+stage paid for a collection.  Nothing is registered while tracing is
+off.
+
 Determinism: span *content* (names, nesting, attributes, events) is a
 pure function of the work performed -- two same-seed runs produce
 identical :meth:`Span.content` trees.  Wall-clock values (start times,
@@ -46,6 +53,7 @@ separate so they can be stripped for comparison.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import threading
@@ -79,7 +87,7 @@ __all__ = [
 #: reported normally but excluded from :meth:`Span.content`, so trace
 #: content stays deterministic for same-seed runs.
 TIMING_ATTR_KEYS = frozenset(
-    {"wall_time_s", "duration_s", "sampling_time_s", "sweeps_per_s", "time_s"}
+    {"wall_time_s", "duration_s", "sampling_time_s", "sweeps_per_s", "time_s", "gc_s"}
 )
 
 #: Module-wide count of real :class:`Span` records ever allocated.
@@ -822,24 +830,59 @@ def event(name: str, **attributes: Any) -> None:
     _ambient_tracer.event(name, **attributes)
 
 
+#: ``perf_counter`` at the start of the collection in progress.
+_gc_start_s = 0.0
+#: The ambient registry's per-generation collection counters, bound
+#: when the hook is registered: a collection may start while a thread
+#: holds the registry's lock, so the hook never looks a metric up.
+_gc_collections: List[Counter] = []
+
+
+def _on_gc(phase: str, info: Dict[str, int]) -> None:
+    """``gc.callbacks`` hook: charge the pause to the innermost span."""
+    global _gc_start_s
+    if phase == "start":
+        _gc_start_s = time.perf_counter()
+        return
+    pause_s = time.perf_counter() - _gc_start_s
+    node = _ambient_tracer.current()
+    if node is not None:
+        node.attributes["gc_s"] = node.attributes.get("gc_s", 0.0) + pause_s
+    _gc_collections[info["generation"]].inc()
+
+
+def _set_ambient(tracer_obj: Tracer, metrics_obj: MetricsRegistry) -> None:
+    """Swap the ambient pair; the gc hook is registered iff the tracer
+    records."""
+    global _ambient_tracer, _ambient_metrics, _gc_collections
+    if tracer_obj.enabled:
+        _gc_collections = [
+            metrics_obj.counter(f"gc.collections.gen{generation}")
+            for generation in range(3)
+        ]
+    _ambient_tracer, _ambient_metrics = tracer_obj, metrics_obj
+    hooked = _on_gc in gc.callbacks
+    if tracer_obj.enabled and not hooked:
+        gc.callbacks.append(_on_gc)
+    elif not tracer_obj.enabled and hooked:
+        gc.callbacks.remove(_on_gc)
+
+
 def install(
     tracer_obj: Optional[Tracer] = None,
     metrics_obj: Optional[MetricsRegistry] = None,
 ) -> Tuple[Tracer, MetricsRegistry]:
     """Enable process-wide collection; returns the live instances."""
-    global _ambient_tracer, _ambient_metrics
-    _ambient_tracer = tracer_obj if tracer_obj is not None else Tracer()
-    _ambient_metrics = (
-        metrics_obj if metrics_obj is not None else MetricsRegistry()
+    _set_ambient(
+        tracer_obj if tracer_obj is not None else Tracer(),
+        metrics_obj if metrics_obj is not None else MetricsRegistry(),
     )
     return _ambient_tracer, _ambient_metrics
 
 
 def uninstall() -> None:
     """Return to the zero-overhead null implementations."""
-    global _ambient_tracer, _ambient_metrics
-    _ambient_tracer = NULL_TRACER
-    _ambient_metrics = NULL_METRICS
+    _set_ambient(NULL_TRACER, NULL_METRICS)
 
 
 def observe_sample(
@@ -894,13 +937,12 @@ def capture(
     Yields ``(tracer, metrics)``; the previously ambient instances are
     restored on exit, so nested/concurrent test usage cannot leak.
     """
-    global _ambient_tracer, _ambient_metrics
     previous = (_ambient_tracer, _ambient_metrics)
     live = install(tracer_obj, metrics_obj)
     try:
         yield live
     finally:
-        _ambient_tracer, _ambient_metrics = previous
+        _set_ambient(*previous)
 
 
 def _format_number(value: float) -> str:

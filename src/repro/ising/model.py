@@ -92,12 +92,7 @@ class IsingModel:
         #: Cached CSR adjacency export; invalidated on any mutation of
         #: ``_h`` or ``_j`` (the offset is not part of the adjacency).
         self._csr: Optional[tuple] = None
-        if h:
-            for v, bias in h.items():
-                self.add_variable(v, bias)
-        if j:
-            for (u, v), coupling in j.items():
-                self.add_interaction(u, v, coupling)
+        self._add_terms(h.items() if h else (), j.items() if j else ())
 
     # ------------------------------------------------------------------
     # Construction
@@ -135,12 +130,64 @@ class IsingModel:
         self._h.setdefault(v, 0.0)
         self._j[edge] = self._j.get(edge, 0.0) + coupling
 
+    def _add_terms(
+        self,
+        linear: Iterable[Tuple[Variable, float]] = (),
+        quadratic: Iterable[Tuple[Edge, float]] = (),
+    ) -> None:
+        """Add every ``(v, bias)``, then every ``((u, v), coupling)``.
+
+        The bulk form of :meth:`add_variable` per linear term followed
+        by :meth:`add_interaction` per quadratic term: the same key
+        insertion order, the same float sums in the same order and the
+        same errors, but the CSR cache is dropped once and each string
+        label's ``repr`` (the edge-key order) is computed once.
+        """
+        self._invalidate()
+        h = self._h
+        isfinite = math.isfinite
+        for v, bias in linear:
+            bias = float(bias)
+            if not isfinite(bias):
+                raise ValueError(
+                    f"bias of variable {v!r} is {bias}, not a finite number"
+                )
+            h[v] = h.get(v, 0.0) + bias
+        j = self._j
+        reprs: Dict[str, str] = {}
+        for (u, v), coupling in quadratic:
+            coupling = float(coupling)
+            if not isfinite(coupling):
+                raise ValueError(
+                    f"coupling of variables {u!r} and {v!r} is {coupling}, "
+                    "not a finite number"
+                )
+            if u == v:
+                raise ValueError(f"self-coupling on variable {u!r} is not quadratic")
+            # Equal strings have equal reprs; other labels (1 and True,
+            # an int and a numpy int) may not, so only strings are cached.
+            if type(u) is str:
+                repr_u = reprs.get(u)
+                if repr_u is None:
+                    repr_u = reprs[u] = repr(u)
+            else:
+                repr_u = repr(u)
+            if type(v) is str:
+                repr_v = reprs.get(v)
+                if repr_v is None:
+                    repr_v = reprs[v] = repr(v)
+            else:
+                repr_v = repr(v)
+            edge = (u, v) if repr_u <= repr_v else (v, u)
+            if u not in h:
+                h[u] = 0.0
+            if v not in h:
+                h[v] = 0.0
+            j[edge] = j.get(edge, 0.0) + coupling
+
     def update(self, other: "IsingModel") -> None:
         """Accumulate ``other`` into this model (Section 4.3.5: H_P + H_Q)."""
-        for v, bias in other._h.items():
-            self.add_variable(v, bias)
-        for (u, v), coupling in other._j.items():
-            self.add_interaction(u, v, coupling)
+        self._add_terms(other._h.items(), other._j.items())
         self.offset += other.offset
 
     def __add__(self, other: "IsingModel") -> "IsingModel":
@@ -162,16 +209,17 @@ class IsingModel:
         QMASM contracts explicit ``A = B`` chains into one variable.
         """
         out = IsingModel(offset=self.offset)
-        for v, bias in self._h.items():
-            out.add_variable(mapping.get(v, v), bias)
+        get = mapping.get
+        quadratic = []
         for (u, v), coupling in self._j.items():
-            new_u = mapping.get(u, u)
-            new_v = mapping.get(v, v)
+            new_u = get(u, u)
+            new_v = get(v, v)
             if new_u == new_v:
                 # sigma * sigma == 1: the term becomes a constant.
                 out.offset += coupling
             else:
-                out.add_interaction(new_u, new_v, coupling)
+                quadratic.append(((new_u, new_v), coupling))
+        out._add_terms([(get(v, v), bias) for v, bias in self._h.items()], quadratic)
         return out
 
     # ------------------------------------------------------------------

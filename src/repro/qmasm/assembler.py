@@ -17,6 +17,7 @@ built; each run re-pins a copy of that lowering
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -218,8 +219,7 @@ class LogicalProgram:
                 representative[member] = best
 
         model = self.model.relabel(representative)
-        for variable in self.variables:
-            model.add_variable(representative[variable], 0.0)
+        model._add_terms([(representative[v], 0.0) for v in self.variables])
 
         for a, b, same in self.chains:
             rep_a, rep_b = representative[a], representative[b]
@@ -332,7 +332,8 @@ def assemble(program: Program) -> LogicalProgram:
     flat = _Flattened()
     _expand(program.statements, program.macros, "", flat)
 
-    # Apply aliases (new name -> existing variable).
+    # Apply aliases (new name -> existing variable); a program without
+    # any keeps every name as written.
     def resolve_alias(name: str) -> str:
         seen = set()
         while name in flat.aliases:
@@ -342,34 +343,38 @@ def assemble(program: Program) -> LogicalProgram:
             name = flat.aliases[name]
         return name
 
-    model = IsingModel()
-    variables: Set[str] = set()
-    for variable, value in flat.weights:
-        variable = resolve_alias(variable)
-        model.add_variable(variable, value)
-        variables.add(variable)
+    weights, chains, pins, assertions = flat.weights, flat.chains, flat.pins, flat.assertions
+    if flat.aliases:
+        weights = [(resolve_alias(v), value) for v, value in weights]
+    couplers = []
     for a, b, value in flat.couplers:
-        a, b = resolve_alias(a), resolve_alias(b)
+        if flat.aliases:
+            a, b = resolve_alias(a), resolve_alias(b)
         if a == b:
             raise QmasmError(f"self-coupler on {a!r}")
-        model.add_interaction(a, b, value)
-        variables.update((a, b))
-    chains = []
-    for a, b, same in flat.chains:
-        a, b = resolve_alias(a), resolve_alias(b)
-        chains.append((a, b, same))
-        variables.update((a, b))
-    pins = {resolve_alias(v): value for v, value in flat.pins.items()}
+        couplers.append(((a, b), value))
+    if flat.aliases:
+        chains = [(resolve_alias(a), resolve_alias(b), same) for a, b, same in chains]
+        pins = {resolve_alias(v): value for v, value in pins.items()}
+        alias_map = {
+            name: resolve_alias(name)
+            for expression, _src in assertions
+            for name in expression.variables()
+        }
+        assertions = [
+            (rename_assert(expression, alias_map), source)
+            for expression, source in assertions
+        ]
+
+    model = IsingModel()
+    model._add_terms(weights, couplers)
+    # A set iterates in an order its insertion sequence decides, and
+    # to_ising follows that order: names go in one at a time, weights,
+    # couplers and chains first, then the pins as one dict.
+    variables: Set[str] = {variable for variable, _ in weights}
+    variables.update(itertools.chain.from_iterable(pair for pair, _ in couplers))
+    variables.update(itertools.chain.from_iterable((a, b) for a, b, _ in chains))
     variables.update(pins)
-    alias_map = {
-        name: resolve_alias(name)
-        for expression, _src in flat.assertions
-        for name in expression.variables()
-    }
-    assertions = [
-        (rename_assert(expression, alias_map), source)
-        for expression, source in flat.assertions
-    ]
     for expression, _source in assertions:
         variables.update(expression.variables())
 

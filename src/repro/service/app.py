@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import logging
 import os
 import re
 import secrets
 import signal
+import sys
 import threading
 import time
 from collections import OrderedDict
@@ -40,6 +42,7 @@ from repro.core.cache import CompilationCache, EmbeddingCache, stable_hash
 from repro.core.compiler import CompileOptions, VerilogAnnealerCompiler
 from repro.core.deadline import Deadline, DeadlineExceeded
 from repro.core.trace import MetricsRegistry
+from repro.hardware.registry import make_topology
 from repro.hdl.errors import VerilogError, format_diagnostic
 from repro.qmasm.program import QmasmError
 from repro.qmasm.runner import RunResult, json_safe
@@ -921,12 +924,44 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _GracefulSignal(Exception):
-    """Raised out of ``serve_forever`` by the SIGTERM handler."""
+class _GracefulSignal(BaseException):
+    """Raised out of ``serve_forever`` by the SIGTERM handler.
+
+    A ``BaseException``, as ``KeyboardInterrupt`` is: the handler may
+    fire inside ``process_request``, whose ``except Exception`` would
+    log the signal as a failed request and keep serving.
+    """
 
 
 def _sigterm_handler(signum, frame):  # pragma: no cover - signal path
     raise _GracefulSignal()
+
+
+def _serve_usage_error(args: argparse.Namespace) -> Optional[str]:
+    """What is wrong with a setting no job could be served with, or None.
+
+    The topology is instantiated here, which builds no graph, so an
+    unknown family or a size it rejects fails before the server
+    listens rather than in every dwave or shard job.
+    """
+    for flag, value in (
+        ("--workers", args.workers),
+        ("--queue-size", args.queue_size),
+        ("--topology-size", args.topology_size),
+    ):
+        if value is not None and value < 1:
+            return f"{flag} must be at least 1, got {value}"
+    if not args.rate_limit >= 0:
+        return f"--rate-limit must be at least 0 (0 disables), got {args.rate_limit:g}"
+    if args.rate_limit > 0 and not args.burst >= 1:
+        return f"--burst must be at least 1, got {args.burst:g}"
+    try:
+        make_topology(args.topology, size=args.topology_size)
+    except KeyError as exc:
+        return f"--topology: {exc.args[0]}"
+    except ValueError as exc:
+        return f"--topology-size: {exc}"
+    return None
 
 
 def serve_main(argv: Optional[List[str]] = None) -> int:
@@ -939,6 +974,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     whether the wind-down was clean.
     """
     args = build_serve_parser().parse_args(argv)
+    problem = _serve_usage_error(args)
+    if problem is not None:
+        print(f"error: {problem}", file=sys.stderr)
+        raise SystemExit(2)
     config = ServiceConfig(
         host=args.host,
         port=args.port,
@@ -953,6 +992,10 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
         recover=args.recover,
     )
     server = AnnealingServer(config)
+    # What start-up built (modules, caches, the replayed journal) lives
+    # about as long as the process: keep the cycle collector from
+    # walking it again in every full collection.
+    gc.freeze()
     report = server.service.recovery_report
     if report is not None:
         print(

@@ -29,14 +29,22 @@ from repro.synth.netlist import CONSTANT_CELLS, Cell, Net, Netlist
 
 def optimize(netlist: Netlist, max_passes: int = 50) -> Netlist:
     """Return an optimized copy of ``netlist``."""
-    work = copy.deepcopy(netlist)
+    return optimize_in_place(copy.deepcopy(netlist), max_passes)
+
+
+def optimize_in_place(netlist: Netlist, max_passes: int = 50) -> Netlist:
+    """Optimize ``netlist`` itself and return it.
+
+    For a caller that owns the netlist (the compile stages do); anyone
+    else calls :func:`optimize`.
+    """
     for _ in range(max_passes):
-        changed = _constant_and_alias_pass(work)
-        changed |= _cse_pass(work)
+        changed = _constant_and_alias_pass(netlist)
+        changed |= _cse_pass(netlist)
         if not changed:
             break
-    _dead_cell_pass(work)
-    return work
+    _dead_cell_pass(netlist)
+    return netlist
 
 
 # ----------------------------------------------------------------------

@@ -32,11 +32,19 @@ from repro.synth.netlist import Cell, Net, Netlist
 
 def techmap(netlist: Netlist, max_passes: int = 20) -> Netlist:
     """Return a copy with compound-cell rewrites applied to fixpoint."""
-    work = copy.deepcopy(netlist)
+    return techmap_in_place(copy.deepcopy(netlist), max_passes)
+
+
+def techmap_in_place(netlist: Netlist, max_passes: int = 20) -> Netlist:
+    """Rewrite ``netlist`` itself and return it.
+
+    For a caller that owns the netlist (the compile stages do); anyone
+    else calls :func:`techmap`.
+    """
     for _ in range(max_passes):
-        if not _map_pass(work):
+        if not _map_pass(netlist):
             break
-    return work
+    return netlist
 
 
 def _fanout_counts(netlist: Netlist) -> Dict[Net, int]:

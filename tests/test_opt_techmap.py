@@ -1,13 +1,19 @@
 """Tests for netlist optimization and technology mapping (the ABC role)."""
 
+import copy
 import random
 
 import pytest
 
+from repro import VerilogAnnealerCompiler
+from repro.edif.writer import write_edif
+from repro.hdl.elaborator import elaborate
 from repro.synth.netlist import Netlist, PortDirection
 from repro.synth.opt import optimize
 from repro.synth.simulate import NetlistSimulator
 from repro.synth.techmap import techmap
+from repro.synth.unroll import unroll
+from tests.conftest import LISTING_3_COUNTER, LISTING_6_MULT
 
 
 def _random_circuit(seed: int, num_inputs: int = 4, num_gates: int = 25):
@@ -80,11 +86,55 @@ def test_techmap_preserves_behaviour(seed):
     assert _equivalent(before, after)
 
 
+def _state(netlist: Netlist):
+    """Everything a netlist holds, in its dicts' orders."""
+    return (
+        netlist.name,
+        [(name, port.direction, port.bits) for name, port in netlist.ports.items()],
+        [
+            (name, cell.kind, list(cell.connections.items()))
+            for name, cell in netlist.cells.items()
+        ],
+        list(netlist.net_names.items()),
+        netlist._next_net,
+        netlist._next_cell,
+    )
+
+
 def test_optimize_does_not_mutate_input():
-    nl = _random_circuit(0)
-    cells_before = set(nl.cells)
-    optimize(nl)
-    assert set(nl.cells) == cells_before
+    for seed in range(6):
+        nl = _random_circuit(seed)
+        before = copy.deepcopy(nl)
+        assert _state(optimize(nl)) != _state(before)
+        assert _state(nl) == _state(before)
+
+
+def test_techmap_does_not_mutate_input():
+    for seed in range(6):
+        nl = optimize(_random_circuit(seed, num_gates=40))
+        before = copy.deepcopy(nl)
+        techmap(nl)
+        assert _state(nl) == _state(before)
+
+
+def test_compile_stages_make_no_copy_and_match_the_pure_passes(monkeypatch):
+    """The synth stages work on the netlist they own: a compile with
+    ``copy.deepcopy`` unavailable still succeeds, and emits the EDIF the
+    copying ``optimize`` and ``techmap`` give (``unroll`` re-optimizes
+    the counter)."""
+    mult = techmap(optimize(elaborate(LISTING_6_MULT)))
+    counter = optimize(
+        unroll(techmap(optimize(elaborate(LISTING_3_COUNTER))), 3, initial_value=0)
+    )
+
+    def no_copies(*args, **kwargs):
+        raise AssertionError("a compile stage deep-copied")
+
+    monkeypatch.setattr(copy, "deepcopy", no_copies)
+    compiler = VerilogAnnealerCompiler(seed=0, cache=False)
+    assert compiler.compile(LISTING_6_MULT).edif_text == write_edif(mult)
+    compiled = compiler.compile(LISTING_3_COUNTER, unroll_steps=3)
+    assert compiled.edif_text == write_edif(counter)
 
 
 # ----------------------------------------------------------------------

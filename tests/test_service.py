@@ -25,6 +25,9 @@ The serving contract under test:
 
 from __future__ import annotations
 
+import gc
+import signal
+import socket
 import threading
 import time
 
@@ -32,7 +35,8 @@ import numpy as np
 import pytest
 
 from repro import VerilogAnnealerCompiler
-from repro.service.app import AnnealingService, ServiceConfig
+from repro.service import app
+from repro.service.app import AnnealingService, ServiceConfig, serve_main
 from repro.service.jobs import Job, JobRequest, JobState, JobStore, ServiceError
 from repro.service.queue import WorkerPool
 from repro.service.ratelimit import RateLimiter, TokenBucket
@@ -727,3 +731,102 @@ class TestIdempotency:
         )[:2]
         assert alice["id"] != bob["id"]
         assert "deduplicated" not in bob
+
+
+# ----------------------------------------------------------------------
+# ``python -m repro serve``: usage errors and the SIGTERM path
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--workers", "0"], "--workers must be at least 1, got 0"),
+        (["--queue-size", "-1"], "--queue-size must be at least 1, got -1"),
+        (["--burst", "0.5"], "--burst must be at least 1, got 0.5"),
+        (
+            ["--topology", "hexagon"],
+            "--topology: unknown topology 'hexagon'; available: chimera, pegasus, zephyr",
+        ),
+        (["--topology-size", "0"], "--topology-size must be at least 1, got 0"),
+        (
+            ["--topology", "pegasus", "--topology-size", "1"],
+            "--topology-size: Pegasus size must be >= 2, got 1",
+        ),
+        (["--rate-limit", "-1"], "--rate-limit must be at least 0 (0 disables), got -1"),
+    ],
+    ids=["workers", "queue-size", "burst", "topology", "topology-size", "family-size",
+         "rate-limit"],
+)
+def test_bad_serve_settings_exit_2_before_listening(argv, message, capsys, monkeypatch):
+    def listen(config):
+        raise AssertionError("the server was started")
+
+    monkeypatch.setattr(app, "AnnealingServer", listen)
+    with pytest.raises(SystemExit) as exc:
+        serve_main(["--port", "0", *argv])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_burst_is_free_when_rate_limiting_is_off(monkeypatch):
+    class Started(Exception):
+        pass
+
+    def listen(config):
+        raise Started(config)
+
+    monkeypatch.setattr(app, "AnnealingServer", listen)
+    with pytest.raises(Started) as started:
+        serve_main(["--port", "0", "--rate-limit", "0", "--burst", "0"])
+    assert started.value.args[0].rate_limit_per_s is None
+
+
+def test_sigterm_inside_process_request_drains_the_server(monkeypatch, capsys):
+    """The SIGTERM handler may raise while the main thread is inside
+    ``process_request``, under socketserver's per-request ``except
+    Exception``: the signal must still stop the server and drain it.
+    Only ``serve_main`` freezes the start-up heap, not the server."""
+    servers = []
+    frozen = gc.get_freeze_count()
+    build = app.AnnealingServer.__init__
+
+    def recording_init(self, config=None):
+        build(self, config)
+        assert gc.get_freeze_count() == frozen
+        servers.append(self)
+
+    def signalled(self, request, client_address):
+        raise app._GracefulSignal()
+
+    monkeypatch.setattr(app.AnnealingServer, "__init__", recording_init)
+    monkeypatch.setattr(app.AnnealingServer, "process_request", signalled)
+    finished = threading.Event()
+
+    def connect():
+        deadline = time.monotonic() + 30
+        while not servers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if not servers:
+            return
+        socket.create_connection(servers[0].server_address[:2], timeout=5).close()
+        # A swallowed signal leaves serve_forever running: stop it, so
+        # the test fails instead of hanging.
+        if not finished.wait(15):
+            servers[0].shutdown()
+
+    poker = threading.Thread(target=connect, daemon=True)
+    previous = signal.getsignal(signal.SIGTERM)
+    poker.start()
+    try:
+        assert serve_main(["--port", "0", "--workers", "1"]) == 0
+        frozen_after = gc.get_freeze_count()
+    finally:
+        finished.set()
+        poker.join(timeout=30)
+        signal.signal(signal.SIGTERM, previous)
+        gc.unfreeze()
+        for server in servers:
+            server.service.shutdown(drain=False, timeout_s=5.0)
+            server.server_close()
+    assert "shutting down on SIGTERM" in capsys.readouterr().out
+    assert not servers[0].service.pool.alive_workers()
+    assert frozen_after > frozen

@@ -6,6 +6,7 @@ export schemas, and the disabled fast path's zero-span-allocation
 guarantee.
 """
 
+import gc
 import json
 
 import pytest
@@ -308,6 +309,56 @@ class TestMetrics:
         registry.counter("cache.c.misses").inc(1)
         assert registry.hit_ratio("cache.c") == 0.0
         assert "nan" not in registry.render_summary().lower()
+
+
+# ----------------------------------------------------------------------
+# Collector pauses
+# ----------------------------------------------------------------------
+@pytest.fixture
+def explicit_gc_only():
+    """No automatic collection may land in a span under test."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if was_enabled:
+        gc.enable()
+
+
+class TestGcPauses:
+    def test_collection_is_charged_to_the_innermost_span_only(self, explicit_gc_only):
+        with trace.capture() as (tracer, metrics):
+            with trace.span("a") as a:
+                with trace.span("b") as b:
+                    gc.collect()
+        assert b.attributes["gc_s"] > 0
+        assert "gc_s" not in a.attributes
+        assert metrics.value("gc.collections.gen2") == 1
+        assert metrics.value("gc.collections.gen0") == 0
+        # A pause is timing, not content.
+        assert "attributes" not in tracer.content()["spans"][0]["children"][0]
+
+    def test_hook_lives_only_while_a_tracer_is_installed(self):
+        assert trace._on_gc not in gc.callbacks
+        with trace.capture():
+            assert gc.callbacks.count(trace._on_gc) == 1
+            with trace.capture():
+                assert gc.callbacks.count(trace._on_gc) == 1
+            assert gc.callbacks.count(trace._on_gc) == 1
+        assert trace._on_gc not in gc.callbacks
+        trace.install()
+        try:
+            assert trace._on_gc in gc.callbacks
+        finally:
+            trace.uninstall()
+        assert trace._on_gc not in gc.callbacks
+        with trace.capture(NullTracer()):
+            assert trace._on_gc not in gc.callbacks
+
+    def test_collection_outside_every_span_is_only_counted(self, explicit_gc_only):
+        with trace.capture() as (tracer, metrics):
+            gc.collect(0)
+        assert tracer.roots == []
+        assert metrics.value("gc.collections.gen0") == 1
 
 
 # ----------------------------------------------------------------------
