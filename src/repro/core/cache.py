@@ -32,12 +32,13 @@ import os
 import pickle
 import threading
 from dataclasses import dataclass, fields, is_dataclass
-from typing import Any, Dict, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.core import trace
 from repro.hardware.embedding import EMBEDDER_VERSION, graph_fingerprint
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 logger = logging.getLogger(__name__)
 

@@ -323,6 +323,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ("--machines", args.machines),
         ("--topology-size", args.topology_size),
         ("--workers", args.workers),
+        ("--steps", args.steps),
     )
     for flag, value in counts:
         if value is not None and value < 1:

@@ -16,9 +16,10 @@ Qubits are numbered linearly in the D-Wave convention:
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-import networkx as nx
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 #: A D-Wave 2000Q is a C16 Chimera graph.
 DWAVE_2000Q_CELLS = 16
@@ -67,6 +68,8 @@ def chimera_graph(m: int, n: Optional[int] = None, t: int = 4) -> nx.Graph:
     drop-out.  Node labels are linear qubit indices; each node stores its
     ``chimera_coordinate`` attribute.
     """
+    import networkx as nx
+
     if n is None:
         n = m
     coords = ChimeraCoordinates(m, n, t)
@@ -113,7 +116,8 @@ def dropout(
 
     The paper notes a 2000Q provides "a nominal 2048 qubits, although
     there is inevitably some drop-out".  Specify either a ``fraction`` of
-    qubits to remove or an exact ``num_qubits`` count.
+    qubits to remove or an exact ``num_qubits`` count.  Returns a new
+    graph, even when nothing is removed; ``graph`` is left as it is.
     """
     rng = random.Random(seed)
     nodes = sorted(graph.nodes())
@@ -162,4 +166,6 @@ def is_chimera_edge(graph: nx.Graph, u: int, v: int) -> bool:
 def odd_cycles_absent(graph: nx.Graph) -> bool:
     """Chimera graphs are bipartite (no odd cycles) -- the reason only
     NOT and DFF from Table 5 embed directly (Section 4.4)."""
+    import networkx as nx
+
     return nx.is_bipartite(graph)

@@ -25,16 +25,26 @@ import random
 import time
 import weakref
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Set,
+    Tuple,
+)
 
-import networkx as nx
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra as _sparse_dijkstra
 
 from repro.core import trace
 from repro.ising.model import IsingModel
 from repro.solvers.sampleset import SampleSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 Variable = Hashable
 Qubit = int
@@ -123,6 +133,8 @@ class Embedding:
         Raised errors carry the source and target sizes so validation
         failures on degraded working graphs are diagnosable.
         """
+        import networkx as nx
+
         sizes = dict(source_size=len(self.chains), target_size=len(target))
         seen: Set[Qubit] = set()
         for v, chain in self.chains.items():
@@ -163,10 +175,15 @@ class _SearchGraphs:
     the target's CSR keeps one entry layout (rows from ``target.edges()``
     in both directions, canonicalized by scipy), and each search only
     rewrites ``graph.data`` with the entered nodes' costs.  The search
-    loop reads adjacency from here and never calls networkx.
+    loop reads adjacency from here and never calls networkx.  scipy is
+    imported here, so only a process that embeds loads it.
     """
 
     def __init__(self, source: nx.Graph, target: nx.Graph):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        self.dijkstra = dijkstra
         self.source = source
         self.target = target
         self.variables: List[Variable] = list(source.nodes())
@@ -248,7 +265,7 @@ class _EmbedderState:
         (dist, parent) as index-based numpy arrays.
         """
         sources = [self._index[q] for q in chain]
-        dist, predecessors, _ = _sparse_dijkstra(
+        dist, predecessors, _ = self.graphs.dijkstra(
             self.graphs.graph,
             directed=True,
             indices=sources,
@@ -604,6 +621,8 @@ def _observe_embedding(
 
 def source_graph_of(model: IsingModel) -> nx.Graph:
     """The logical interaction graph of an Ising model."""
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(model.variables)
     for (u, v), coupling in model.quadratic.items():

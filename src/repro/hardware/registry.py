@@ -13,10 +13,16 @@ The families form one fixed table, ``_FAMILIES``.  Adding a family is
 one row: its name, a factory accepting ``(size, tile)`` keyword
 arguments (``tile`` may be ignored by families with a fixed cell shape,
 as Pegasus does), and its full-chip default size.
+
+A topology is read-only once built, so :func:`make_topology` returns
+one shared instance per ``(family, size, tile)``, keeping the eight
+most recently used: every machine of a process reads the one pristine
+graph, built on first use.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.hardware.topology import (
@@ -96,7 +102,7 @@ def make_topology(
     size: Optional[int] = None,
     tile: Optional[int] = None,
 ) -> Topology:
-    """Instantiate a topology family.
+    """The topology of a family at one size, shared per process.
 
     Args:
         name: a family name (case-insensitive).
@@ -110,10 +116,16 @@ def make_topology(
     """
     key = str(name).strip().lower()
     try:
-        factory, default_size = _FAMILIES[key]
+        _, default_size = _FAMILIES[key]
     except KeyError:
         raise KeyError(
             f"unknown topology {name!r}; available: "
             f"{', '.join(available_topologies())}"
         ) from None
-    return factory(size=default_size if size is None else size, tile=tile)
+    return _shared_topology(key, default_size if size is None else size, tile)
+
+
+@functools.lru_cache(maxsize=8)
+def _shared_topology(key: str, size: int, tile: Optional[int]) -> Topology:
+    factory, _ = _FAMILIES[key]
+    return factory(size=size, tile=tile)

@@ -37,9 +37,7 @@ enforces this).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.hardware.chimera import (
     DWAVE_2000Q_CELLS,
@@ -48,6 +46,9 @@ from repro.hardware.chimera import (
     coupler_dropout,
     dropout,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 __all__ = [
     "DWAVE_2000Q_CELLS",
@@ -93,9 +94,16 @@ class Topology(ABC):
 
     @property
     def graph(self) -> nx.Graph:
-        """The cached pristine graph.  Copy before mutating."""
+        """The cached pristine graph, frozen: copy it to mutate.
+
+        :func:`~repro.hardware.registry.make_topology` shares one
+        topology per family and size across the process, so a mutation
+        here would reach every machine built after it.
+        """
         if self._graph is None:
-            self._graph = self.build_graph()
+            import networkx as nx
+
+            self._graph = nx.freeze(self.build_graph())
         return self._graph
 
     @property
@@ -239,6 +247,8 @@ class PegasusTopology(Topology):
         return start, start + 11
 
     def build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         m = self.m
         graph = nx.Graph(family=self.family, rows=m, columns=m, tile=12)
         for u in (0, 1):
@@ -354,6 +364,8 @@ class ZephyrTopology(Topology):
         return start, start + 2 * self.t - 1
 
     def build_graph(self) -> nx.Graph:
+        import networkx as nx
+
         m, t = self.m, self.t
         graph = nx.Graph(family=self.family, rows=m + 1, columns=m + 1,
                          tile=t)

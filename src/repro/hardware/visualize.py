@@ -12,13 +12,14 @@ signature working.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Hashable, Optional
 
 from repro.hardware.chimera import ChimeraCoordinates
 from repro.hardware.embedding import Embedding
 from repro.hardware.topology import ChimeraTopology, Topology
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 def render_occupancy(

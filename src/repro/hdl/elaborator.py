@@ -109,9 +109,13 @@ class _Elaborator:
     def run(
         self, top: Optional[str] = None, parameters: Optional[Dict[str, int]] = None
     ) -> Netlist:
-        module = (
-            self.source.module(top) if top else self.source.modules[-1]
-        )
+        try:
+            module = self.source.module(top) if top else self.source.modules[-1]
+        except KeyError:
+            defined = ", ".join(mod.name for mod in self.source.modules)
+            raise ElaborationError(
+                f"unknown top module {top!r}; the source defines: {defined}"
+            ) from None
         self.netlist = Netlist(module.name)
         self.builder = CircuitBuilder(self.netlist)
         scope = self._elaborate_module(module, prefix="", overrides=parameters or {})

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.ising.model import SPIN_FALSE, SPIN_TRUE, IsingModel
 
@@ -112,6 +111,10 @@ def _solve_system(
 
     Returns ``(coefficients, k, g)`` or None if infeasible.
     """
+    # Only the Tables 2-4 synthesis solves an LP; compiling and running
+    # use the transcribed Table 5 cells, so scipy loads on first use.
+    from scipy.optimize import linprog
+
     valid_set = set(valid)
     num_quad = n * (n - 1) // 2
     num_unknowns = n + num_quad + 2  # + k + g

@@ -25,8 +25,6 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Tuple
 
-import networkx as nx
-
 from repro.ising.model import SPIN_FALSE, SPIN_TRUE, IsingModel
 
 Variable = Hashable
@@ -112,6 +110,9 @@ def fix_variables_roof(model: IsingModel) -> Dict[Variable, int]:
     """Weak-persistency fixing via the roof-duality implication network."""
     if len(model) == 0:
         return {}
+    # Imported here: only a run with roof duality on (``-O``) needs it.
+    import networkx as nx
+
     linear, quadratic = _posiform(model)
 
     graph = nx.DiGraph()

@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.core.faults import FaultInjector, FaultSpec
@@ -29,6 +28,9 @@ from repro.hardware.topology import coupler_dropout, dropout
 from repro.ising.model import IsingModel
 from repro.solvers.neal import SimulatedAnnealingSampler
 from repro.solvers.sampleset import SampleSet
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import networkx as nx
 
 
 @dataclass
@@ -105,9 +107,12 @@ class DWaveSimulator:
         self.topology = make_topology(
             props.topology, size=props.cells, tile=props.tile
         )
-        graph = self.topology.graph.copy()
+        # dropout returns a copy, so the shared pristine graph is never
+        # mutated and never copied twice.
         graph = dropout(
-            graph, fraction=props.dropout_fraction, seed=props.dropout_seed
+            self.topology.graph,
+            fraction=props.dropout_fraction,
+            seed=props.dropout_seed,
         )
         if props.coupler_dropout_fraction:
             graph = coupler_dropout(

@@ -107,6 +107,7 @@ def test_missing_source_exits_2_with_one_line(tmp_path, capsys):
         ("shard", "--machines", "0", "--machines"),
         ("dwave", "--topology-size", "0", "--topology-size"),
         ("qbsolv", "--workers", "0", "--workers"),
+        ("sa", "--steps", "0", "--steps"),
     ],
 )
 def test_nonpositive_reads_or_sweeps_exit_2_before_compiling(
@@ -162,6 +163,12 @@ def test_sequential_needs_steps(tmp_path, capsys):
     path.write_text(LISTING_3_COUNTER)
     assert main([str(path)]) == 1
     assert main([str(path), "--steps", "2"]) == 0
+
+
+def test_unknown_top_module_is_one_unquoted_line(verilog_file, capsys):
+    assert main([verilog_file, "--top", "nosuch"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unknown top module 'nosuch'; the source defines: circuit\n"
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.hardware import dropout, make_topology
 from repro.ising.model import IsingModel
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 
@@ -18,6 +19,26 @@ def _chain_problem(machine, value=-1.0):
     u, v = next(iter(machine.working_graph.edges()))
     model = IsingModel({u: 0.5}, {(u, v): value})
     return model, u, v
+
+
+@pytest.mark.parametrize("fraction", [0.0, 0.05])
+def test_working_graph_is_an_own_copy_in_the_same_order(fraction):
+    props = MachineProperties(cells=3, dropout_fraction=fraction)
+    first, second = DWaveSimulator(props), DWaveSimulator(props)
+    assert first.topology is second.topology
+    assert first.working_graph is not first.topology.graph
+    first.working_graph.remove_node(next(iter(first.working_graph)))
+    assert len(second.working_graph) == len(first.working_graph) + 1
+    # Node and adjacency order decide the embedder's tie-breaks: they
+    # must match a fresh copy of the pristine graph put through dropout.
+    expected = dropout(
+        make_topology("chimera", size=3).graph.copy(), fraction=fraction, seed=42
+    )
+    assert _adjacency_order(second.working_graph) == _adjacency_order(expected)
+
+
+def _adjacency_order(graph):
+    return [(node, list(neighbors)) for node, neighbors in graph.adj.items()]
 
 
 # ----------------------------------------------------------------------

@@ -329,6 +329,18 @@ class TestLifecycle:
         assert isinstance(body["line"], int)
         assert body["diagnostic"].startswith("verilog:")
 
+    def test_unknown_top_module_is_invalid_source(self, service_server):
+        # The source parses, so the job is accepted; elaboration then
+        # fails on the top module and the job ends as a 400, not a 500.
+        _, client = service_server
+        status, body = client.post("/jobs", dict(MULT_JOB, top="nosuch"))
+        assert status == 202
+        snapshot = client.await_terminal(body["id"])
+        assert snapshot["state"] == "error"
+        error = snapshot["error"]
+        assert (error["error"], error["status"]) == ("invalid_source", 400)
+        assert "'nosuch'" in error["message"]
+
     def test_invalid_json_body_is_400(self, service_server):
         import json as json_mod
         import urllib.error

@@ -120,6 +120,17 @@ def test_make_topology_sized_and_case_insensitive():
     assert topo.m == 3
 
 
+def test_make_topology_shares_one_frozen_graph_per_size():
+    topo = make_topology("chimera", size=3)
+    assert make_topology("Chimera", size=3) is topo
+    assert make_topology("chimera", size=4) is not topo
+    assert topo.graph is topo.graph
+    # Every machine of the process reads this graph: it must not change.
+    with pytest.raises(nx.NetworkXError):
+        topo.graph.remove_node(0)
+    assert nx.is_frozen(topo.graph) and not nx.is_frozen(topo.graph.copy())
+
+
 def test_make_topology_unknown_name_lists_available():
     with pytest.raises(KeyError) as excinfo:
         make_topology("kagome")
