@@ -18,7 +18,7 @@ wraps at 6 bits).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Union
+from typing import Dict, List, Optional, Set, Tuple, Union
 
 from repro.hdl import ast_nodes as ast
 from repro.hdl.errors import ElaborationError
@@ -27,6 +27,10 @@ from repro.synth.lowering import Bits, CircuitBuilder
 from repro.synth.netlist import Net, Netlist, PortDirection
 
 _MAX_LOOP_ITERATIONS = 65536
+#: Deepest instance nesting elaborated: a recursion whose parameters
+#: change at every level but never end it stops here, well inside
+#: Python's recursion limit.
+_MAX_INSTANCE_DEPTH = 100
 _UNSIZED_WIDTH = 32
 
 
@@ -102,6 +106,9 @@ class _Elaborator:
         self.unify = _UnionFind()
         self._instance_counter = 0
         self._function_stack: List[str] = []
+        #: (module name, parameter overrides) of each module being
+        #: elaborated, outermost first.
+        self._module_stack: List[Tuple[str, Tuple[Tuple[str, int], ...]]] = []
 
     # ------------------------------------------------------------------
     # Entry point
@@ -118,7 +125,9 @@ class _Elaborator:
             ) from None
         self.netlist = Netlist(module.name)
         self.builder = CircuitBuilder(self.netlist)
-        scope = self._elaborate_module(module, prefix="", overrides=parameters or {})
+        overrides = parameters or {}
+        self._module_stack.append((module.name, tuple(sorted(overrides.items()))))
+        scope = self._elaborate_module(module, prefix="", overrides=overrides)
 
         # Expose the top module's ports.
         for port_name in module.port_order:
@@ -1031,8 +1040,26 @@ class _Elaborator:
         overrides = {
             name: self._const_expr(expr, scope) for name, expr in item.parameters
         }
+        # Keyed on the overrides too, so a recursion that a parameter
+        # ends (through generate for) still elaborates.
+        key = (submodule.name, tuple(sorted(overrides.items())))
+        if key in self._module_stack:
+            cycle = [name for name, _ in self._module_stack[self._module_stack.index(key):]]
+            raise ElaborationError(
+                f"module {submodule.name!r} instantiates itself: "
+                f"{' -> '.join(cycle + [submodule.name])}", item.line,
+            )
+        if len(self._module_stack) >= _MAX_INSTANCE_DEPTH:
+            raise ElaborationError(
+                f"instances nest more than {_MAX_INSTANCE_DEPTH} deep at "
+                f"module {submodule.name!r}", item.line,
+            )
         prefix = f"{scope.prefix}{item.name}."
-        child = self._elaborate_module(submodule, prefix, overrides)
+        self._module_stack.append(key)
+        try:
+            child = self._elaborate_module(submodule, prefix, overrides)
+        finally:
+            self._module_stack.pop()
 
         # Resolve connections to (port name -> expr).
         connections: Dict[str, Optional[ast.Expr]] = {}

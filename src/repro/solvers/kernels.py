@@ -18,7 +18,11 @@ tiers:
   (``~/.cache/repro`` when unset) and loaded through :mod:`ctypes`.  It
   runs only :func:`run_metropolis_sweeps`, the loop behind simulated
   annealing, the simulated D-Wave machine and the runner's postprocess
-  anneal;
+  anneal.  The C loop sweeps reads-minor ``(n, reads)`` copies of the
+  caller's spins and fields, eight reads per AVX-512 vector where the
+  CPU has it, and the copies are written back into the caller's
+  ``(reads, n)`` arrays when the anneal stops, so every tier updates
+  the same arrays in place;
 * ``dense`` -- updates against a dense row of the J matrix (fast for
   small or high-density models, where BLAS beats indexing overhead);
 * ``sparse`` -- updates only the CSR neighbor list of the flipped spin
@@ -49,6 +53,7 @@ simulated annealing also accepts ``kernel="native"``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import glob
 import hashlib
@@ -58,7 +63,7 @@ import subprocess
 import tempfile
 import threading
 import warnings
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -448,7 +453,16 @@ def _numpy_sweeper(kernel, spins, fields, indptr, indices, data) -> Sweeper:
     return sweep
 
 
-def _native_sweeper(spins, fields, indptr, indices, data) -> Sweeper:
+@contextlib.contextmanager
+def _native_sweeper(spins, fields, indptr, indices, data) -> Iterator[Sweeper]:
+    """The native sweep body over reads-minor copies of the batch.
+
+    The C loop wants each variable's reads side by side, so the spins
+    and fields are copied once into C-order ``(n, reads)`` arrays and
+    written back into the caller's ``(reads, n)`` arrays when the sweep
+    loop ends, however it ends: the caller sees the state after the last
+    completed sweep in the layout it passed in.
+    """
     function, reason = _load_native()
     if function is None:
         raise ValueError(f"kernel 'native' is unavailable: {reason}")
@@ -481,7 +495,9 @@ def _native_sweeper(spins, fields, indptr, indices, data) -> Sweeper:
         or (len(indices) and (indices.min() < 0 or indices.max() >= n))
     ):
         raise ValueError(f"malformed CSR adjacency for {n} variables")
-    head = (num_reads, n, spins.ctypes.data, fields.ctypes.data)
+    spins_t = np.ascontiguousarray(spins.T)
+    fields_t = np.ascontiguousarray(fields.T)
+    head = (num_reads, n, spins_t.ctypes.data, fields_t.ctypes.data)
     tail = (indptr.ctypes.data, indices.ctypes.data, data.ctypes.data)
 
     def sweep(variables, log_u, two_beta):
@@ -489,10 +505,13 @@ def _native_sweeper(spins, fields, indptr, indices, data) -> Sweeper:
             *head, variables.ctypes.data, log_u.ctypes.data, two_beta, *tail
         )
 
-    # Holding the arrays keeps every address in head and tail valid for
-    # as long as the sweep body can be called.
-    sweep.arrays = (spins, fields, indptr, indices, data)
-    return sweep
+    # The suspended frame holds the arrays, so every address in head and
+    # tail stays valid while the sweep body can be called.
+    try:
+        yield sweep
+    finally:
+        spins[...] = spins_t.T
+        fields[...] = fields_t.T
 
 
 #: How many sweeps run between deadline polls: the sweep-batch
@@ -530,9 +549,12 @@ def run_metropolis_sweeps(
     log domain (``log(u) < min(2 beta s f, 0)``; see the module
     docstring).
 
-    The ``native`` tier writes through raw pointers: ``spins`` and
-    ``fields`` must be writeable C-contiguous float64 arrays, and
-    anything else is a ``ValueError``.
+    Every tier updates ``spins`` and ``fields`` in place, in the layout
+    the caller passed.  The ``native`` tier sweeps reads-minor ``(n,
+    reads)`` copies of them and writes the copies back once the loop
+    ends, however it ends, a deadline stop included; it demands
+    writeable C-contiguous float64 arrays, and anything else is a
+    ``ValueError``.
 
     Args:
         deadline: optional :class:`~repro.core.deadline.Deadline`; the
@@ -544,24 +566,26 @@ def run_metropolis_sweeps(
         stats: optional dict; receives ``sweeps_completed``.
     """
     if kernel == NATIVE:
-        sweep = _native_sweeper(spins, fields, indptr, indices, data)
+        sweeper = _native_sweeper(spins, fields, indptr, indices, data)
     else:
-        sweep = _numpy_sweeper(kernel, spins, fields, indptr, indices, data)
-    n = spins.shape[1]
-    num_reads = spins.shape[0]
+        sweeper = contextlib.nullcontext(
+            _numpy_sweeper(kernel, spins, fields, indptr, indices, data)
+        )
+    num_reads, n = spins.shape
     accepted = 0
     completed = 0
-    for index, beta in enumerate(betas):
-        if (
-            deadline is not None
-            and index % DEADLINE_SWEEP_BATCH == 0
-            and deadline.expired()
-        ):
-            break
-        variables = rng.permutation(n)
-        log_u = log_uniforms(rng, (n, num_reads))
-        accepted += sweep(variables, log_u, 2.0 * beta)
-        completed += 1
+    with sweeper as sweep:
+        for index, beta in enumerate(betas):
+            if (
+                deadline is not None
+                and index % DEADLINE_SWEEP_BATCH == 0
+                and deadline.expired()
+            ):
+                break
+            variables = rng.permutation(n)
+            log_u = log_uniforms(rng, (n, num_reads))
+            accepted += sweep(variables, log_u, 2.0 * beta)
+            completed += 1
     if stats is not None:
         stats["sweeps_completed"] = completed
     return accepted

@@ -132,7 +132,7 @@ class SimulatedAnnealingSampler:
                     f"found {offender!r}"
                 )
             # C order whatever the caller's layout: the native tier
-            # walks each read's row in place.
+            # takes only C-ordered spin matrices.
             spins = raw.astype(float, order="C")
         else:
             spins = self._rng.choice([-1.0, 1.0], size=(num_reads, n))

@@ -171,6 +171,16 @@ def test_unknown_top_module_is_one_unquoted_line(verilog_file, capsys):
     assert err == "error: unknown top module 'nosuch'; the source defines: circuit\n"
 
 
+def test_recursive_instantiation_is_one_unquoted_line(tmp_path, capsys):
+    path = tmp_path / "m.v"
+    path.write_text(
+        "module m (a, b); input a; output b; m u (.a(a), .b(b)); endmodule\n"
+    )
+    assert main([str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: module 'm' instantiates itself: m -> m (line 1)\n"
+
+
 # ----------------------------------------------------------------------
 # Structured --pin diagnostics (exit 2, one-line errors)
 # ----------------------------------------------------------------------

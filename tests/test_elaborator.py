@@ -684,6 +684,65 @@ def test_unknown_module_rejected():
         elaborate("module m; ghost u (.a(1'b0)); endmodule")
 
 
+#: A module that instantiates itself, and a pair that instantiate each other.
+SELF_INSTANCE = "module m (a, b); input a; output b; m u (.a(a), .b(b)); endmodule"
+MUTUAL_INSTANCES = """
+module a (x, y); input x; output y; b u (.x(x), .y(y)); endmodule
+module b (x, y); input x; output y; a u (.x(x), .y(y)); endmodule
+"""
+
+
+@pytest.mark.parametrize(
+    "source, top, cycle",
+    [
+        (SELF_INSTANCE, None, "m -> m"),
+        (MUTUAL_INSTANCES, "a", "a -> b -> a"),
+        (MUTUAL_INSTANCES, "b", "b -> a -> b"),
+    ],
+    ids=["self", "pair-top-a", "pair-top-b"],
+)
+def test_recursive_instantiation_names_the_cycle(source, top, cycle):
+    with pytest.raises(ElaborationError, match=f"instantiates itself: {cycle} \\(line"):
+        elaborate(source, top=top)
+
+
+def test_recursion_that_a_parameter_ends_elaborates():
+    """``generate for`` instantiates the next level only while N > 0."""
+    source = """
+    module inv_chain (a, b);
+        parameter N = 3;
+        input a;
+        output b;
+        wire w;
+        genvar i;
+        generate for (i = 0; i < (N > 0); i = i + 1) begin : deeper
+            inv_chain #(.N(N - 1)) u (.a(a), .b(w));
+            assign b = !w;
+        end endgenerate
+        generate for (i = 0; i < (N == 0); i = i + 1) begin : leaf
+            assign b = a;
+        end endgenerate
+    endmodule
+    """
+    for depth, flips in ((3, 1), (4, 0)):
+        sim = _sim(source, parameters={"N": depth})
+        for a in (0, 1):
+            assert sim.evaluate({"a": a})["b"] == a ^ flips
+
+
+def test_recursion_that_no_parameter_ends_is_capped():
+    source = """
+    module grow (a, b);
+        parameter N = 0;
+        input a;
+        output b;
+        grow #(.N(N + 1)) u (.a(a), .b(b));
+    endmodule
+    """
+    with pytest.raises(ElaborationError, match="instances nest more than 100 deep"):
+        elaborate(source)
+
+
 # ----------------------------------------------------------------------
 # Miscellaneous semantics and errors
 # ----------------------------------------------------------------------

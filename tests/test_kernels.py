@@ -17,7 +17,7 @@ from repro.solvers.greedy import SteepestDescentSolver
 from repro.solvers.neal import SimulatedAnnealingSampler
 from repro.solvers.sampleset import SampleSet
 from repro.solvers.sqa import PathIntegralAnnealer
-from tests.conftest import require_native_tier
+from tests.conftest import LISTING_6_MULT, require_native_tier
 
 
 def _ring_model(n=10, chords=()):
@@ -200,48 +200,77 @@ def _anneal(kernel, model, deadline=None, num_reads=6, num_sweeps=40):
     return spins, fields, accepted, stats
 
 
-@pytest.mark.parametrize("kernel", ["sparse", "native"])
-def test_run_metropolis_sweeps_tiers_bitwise_equal(kernel):
+#: Read counts for the tier tests.  The native tier runs blocks of 8
+#: reads, one AVX-512 vector each, and a scalar loop for the rest, so
+#: these cover the scalar loop alone (1, 6), one full block (8), a block
+#: plus a tail (13) and many blocks (64).  On a host without AVX-512 the
+#: native tier runs every read in its scalar loop, so there these cases
+#: test the scalar loop only.
+READ_COUNTS = (1, 6, 8, 13, 64)
+
+
+def _tier_cases(*tiers):
+    """(kernel, num_reads) cases; 6 reads, ``_anneal``'s default, keeps
+    the bare tier id."""
+    return [
+        pytest.param(kernel, reads, id=kernel if reads == 6 else f"{kernel}-{reads}")
+        for kernel in tiers
+        for reads in READ_COUNTS
+    ]
+
+
+@pytest.mark.parametrize("kernel, num_reads", _tier_cases("sparse", "native"))
+def test_run_metropolis_sweeps_tiers_bitwise_equal(kernel, num_reads):
+    """Every tier matches the dense one bit for bit (see READ_COUNTS)."""
     if kernel == kernels.NATIVE:
         require_native_tier()
     model = _ring_model(70, chords=[(0, 35), (10, 50), (22, 61)])
-    spins_d, fields_d, acc_d, _ = _anneal("dense", model)
-    spins_k, fields_k, acc_k, _ = _anneal(kernel, model)
+    spins_d, fields_d, acc_d, _ = _anneal("dense", model, num_reads=num_reads)
+    spins_k, fields_k, acc_k, _ = _anneal(kernel, model, num_reads=num_reads)
     np.testing.assert_array_equal(spins_d, spins_k)
     np.testing.assert_array_equal(fields_d, fields_k)
     assert acc_d == acc_k
 
 
-@pytest.mark.parametrize("kernel", ["dense", "sparse", "native"])
-def test_run_metropolis_sweeps_deadline_contract(kernel):
+@pytest.mark.parametrize(
+    "kernel, num_reads", _tier_cases("dense", "sparse", "native")
+)
+def test_run_metropolis_sweeps_deadline_contract(kernel, num_reads):
     """Every tier stops at the same sweep boundary with the same polls.
 
     The second expired() poll (sweep DEADLINE_SWEEP_BATCH) reports
-    expiry, so exactly one full batch of sweeps completes.
+    expiry, so exactly one full batch of sweeps completes, and the
+    native tier writes that state back into the caller's arrays (see
+    READ_COUNTS for the read counts).
     """
     if kernel == kernels.NATIVE:
         require_native_tier()
     model = _ring_model(70, chords=[(0, 35)])
     deadline = _ExpireAfter(1)
-    spins, _, _, stats = _anneal(
-        kernel, model, deadline=deadline,
+    spins, fields, _, stats = _anneal(
+        kernel, model, deadline=deadline, num_reads=num_reads,
         num_sweeps=kernels.DEADLINE_SWEEP_BATCH * 3,
     )
     assert stats["sweeps_completed"] == kernels.DEADLINE_SWEEP_BATCH
     assert deadline.calls == 2
     # Every tier lands on the bit-identical partial state.
-    ref_spins, _, _, _ = _anneal(
-        "dense", model, deadline=_ExpireAfter(1),
+    ref_spins, ref_fields, _, _ = _anneal(
+        "dense", model, deadline=_ExpireAfter(1), num_reads=num_reads,
         num_sweeps=kernels.DEADLINE_SWEEP_BATCH * 3,
     )
     np.testing.assert_array_equal(spins, ref_spins)
+    np.testing.assert_array_equal(fields, ref_fields)
 
 
-def test_native_tier_matches_sparse_on_nan_and_inf_coefficients():
+@pytest.mark.parametrize("num_reads", READ_COUNTS, ids=lambda reads: f"{reads}reads")
+def test_native_tier_matches_sparse_on_nan_and_inf_coefficients(num_reads):
     """A NaN x rejects on both tiers (numpy's minimum propagates NaN).
 
     IsingModel refuses non-finite coefficients, so the NaN bias and the
-    inf coupling go straight into the arrays the kernels anneal.
+    inf coupling go straight into the arrays the kernels anneal.  The
+    vector loop must leave a rejected lane's field bit for bit as it was
+    (multiplying the update by a 0/1 mask would give inf * 0 = NaN); see
+    READ_COUNTS for the read counts.
     """
     require_native_tier()
     order, h, indptr, indices, data = _ring_model(
@@ -255,11 +284,26 @@ def test_native_tier_matches_sparse_on_nan_and_inf_coefficients():
         data[start + list(indices[start:stop]).index(col)] = float("inf")
     model = (order, h, indptr, indices, data)
     with np.errstate(invalid="ignore"):
-        spins_s, fields_s, acc_s, _ = _anneal("sparse", model)
-    spins_n, fields_n, acc_n, _ = _anneal("native", model)
+        spins_s, fields_s, acc_s, _ = _anneal("sparse", model, num_reads=num_reads)
+    spins_n, fields_n, acc_n, _ = _anneal("native", model, num_reads=num_reads)
     assert np.isnan(fields_s).any() and np.isinf(fields_s).any()
     np.testing.assert_array_equal(spins_s, spins_n)
-    np.testing.assert_array_equal(fields_s, fields_n)  # NaN == NaN here
+    # Bits, not values: NaN payloads and the sign of a zero count too.
+    np.testing.assert_array_equal(fields_s.view(np.int64), fields_n.view(np.int64))
+    assert acc_s == acc_n
+
+
+def test_native_tier_matches_sparse_on_the_warm_anneal_model(compiler):
+    """The 4-bit Listing 6 lowering (92 variables) at 200 reads, the
+    shape of a perfbench ``warm-anneal`` job: 25 full AVX-512 blocks
+    (the scalar loop only, on a host without AVX-512)."""
+    require_native_tier()
+    model, _ = compiler.compile(LISTING_6_MULT).logical.lowering
+    assert len(model.variables) == 92
+    spins_s, fields_s, acc_s, _ = _anneal("sparse", model, num_reads=200)
+    spins_n, fields_n, acc_n, _ = _anneal("native", model, num_reads=200)
+    np.testing.assert_array_equal(spins_s, spins_n)
+    np.testing.assert_array_equal(fields_s.view(np.int64), fields_n.view(np.int64))
     assert acc_s == acc_n
 
 

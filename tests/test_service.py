@@ -341,6 +341,17 @@ class TestLifecycle:
         assert (error["error"], error["status"]) == ("invalid_source", 400)
         assert "'nosuch'" in error["message"]
 
+    def test_recursive_instantiation_is_invalid_source(self, service_server):
+        _, client = service_server
+        source = "module m (a, b); input a; output b; m u (.a(a), .b(b)); endmodule\n"
+        status, body = client.post("/jobs", {"source": source, "solver": "sa"})
+        assert status == 202
+        snapshot = client.await_terminal(body["id"])
+        assert snapshot["state"] == "error"
+        error = snapshot["error"]
+        assert (error["error"], error["status"]) == ("invalid_source", 400)
+        assert "m -> m" in error["message"]
+
     def test_invalid_json_body_is_400(self, service_server):
         import json as json_mod
         import urllib.error
