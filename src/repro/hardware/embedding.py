@@ -27,19 +27,21 @@ import weakref
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
+    Any,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
 
 import numpy as np
 
-from repro.core import trace
+from repro.core import native, trace
 from repro.ising.model import IsingModel
 from repro.solvers.sampleset import SampleSet
 
@@ -171,19 +173,18 @@ class Embedding:
 class _SearchGraphs:
     """The source and target graphs as plain containers, read once.
 
-    ``find_embedding`` builds one per call and every restart shares it:
-    the target's CSR keeps one entry layout (rows from ``target.edges()``
-    in both directions, canonicalized by scipy), and each search only
-    rewrites ``graph.data`` with the entered nodes' costs.  The search
-    loop reads adjacency from here and never calls networkx.  scipy is
-    imported here, so only a process that embeds loads it.
+    ``find_embedding`` builds one per call and every restart shares it.
+    The search loop reads adjacency from here and never calls networkx.
+    The target's CSR holds each edge in both directions, each row's
+    columns ascending, built with numpy.  :meth:`search` runs a
+    variable's neighbour-chain searches in the native library when it
+    loads (``search_name`` ``"native"``) and through scipy's Dijkstra
+    otherwise (``"scipy"``); both give the same root and the same
+    predecessors along every root-to-chain path, so scipy is imported
+    only by a process whose library cannot load.
     """
 
     def __init__(self, source: nx.Graph, target: nx.Graph):
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import dijkstra
-
-        self.dijkstra = dijkstra
         self.source = source
         self.target = target
         self.variables: List[Variable] = list(source.nodes())
@@ -195,35 +196,123 @@ class _SearchGraphs:
         self.adjacency: Dict[Qubit, Tuple[Qubit, ...]] = {
             q: tuple(target.adj[q]) for q in self.nodes
         }
-        rows, cols = [], []
-        for u, v in target.edges():
-            iu, iv = self.index[u], self.index[v]
-            rows.append(iu)
-            cols.append(iv)
-            rows.append(iv)
-            cols.append(iu)
         n = len(self.nodes)
-        # Placeholder weights: embed_variable writes the costs in before
-        # every search.
-        self.graph = csr_matrix(
-            (
-                np.ones(len(cols)),
-                (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32)),
-            ),
-            shape=(n, n),
+        ends = np.array(
+            [(self.index[u], self.index[v]) for u, v in target.edges()],
+            dtype=np.int64,
+        ).reshape(-1, 2)
+        rows = np.concatenate((ends[:, 0], ends[:, 1]))
+        cols = np.concatenate((ends[:, 1], ends[:, 0]))
+        self.indices = cols[np.lexsort((cols, rows))]
+        self.indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
+        self._native = native.function("repro_chain_searches")
+        self.search_name = "scipy" if self._native is None else "native"
+        self._scipy_graph = None
+
+    def search(
+        self,
+        costs: np.ndarray,
+        chains: List[Set[Qubit]],
+        noise: np.ndarray,
+        amplitude: float,
+    ) -> Tuple[int, Sequence[np.ndarray]]:
+        """Choose a root for a variable whose neighbours hold ``chains``.
+
+        Each chain's search is a node-weighted multi-source Dijkstra:
+        entering node ``i`` costs ``costs[i]`` and the chain's own qubits
+        are free.  The root minimizes ``costs + sum(distances) +
+        amplitude * noise``, the first index on a tie.  Returns the
+        root's index, -1 when no qubit is reachable from every chain, and
+        each search's predecessor array, exact along every path from the
+        root into its chain.
+        """
+        n = len(self.nodes)
+        costs = np.ascontiguousarray(costs, dtype=np.float64)
+        noise = np.ascontiguousarray(noise, dtype=np.float64)
+        if costs.shape != (n,) or noise.shape != (n,) or not chains or not all(chains):
+            raise ValueError(
+                f"a search needs {n} costs, {n} noise values and non-empty chains"
+            )
+        if self._native is None:
+            return self._scipy_search(costs, chains, noise, amplitude)
+        sources = np.fromiter(
+            (self.index[q] for chain in chains for q in chain), dtype=np.int64
         )
+        starts = np.zeros(len(chains) + 1, dtype=np.int64)
+        np.cumsum([len(chain) for chain in chains], out=starts[1:])
+        parents = np.empty((len(chains), n), dtype=np.int32)
+        root = self._native(
+            n, self.indptr.ctypes.data, self.indices.ctypes.data,
+            costs.ctypes.data, len(chains), starts.ctypes.data,
+            sources.ctypes.data, noise.ctypes.data, amplitude,
+            parents.ctypes.data,
+        )
+        if root == -2:
+            raise MemoryError("the native chain search ran out of memory")
+        return root, parents
+
+    def _scipy_search(self, costs, chains, noise, amplitude):
+        """:meth:`search` through full scipy searches, for hosts without
+        the native library: scipy pops in the native search's order."""
+        from scipy.sparse.csgraph import dijkstra
+
+        if self._scipy_graph is None:
+            from scipy.sparse import csr_matrix
+
+            n = len(self.nodes)
+            self._scipy_graph = csr_matrix(
+                (
+                    np.ones(len(self.indices)),
+                    self.indices.astype(np.int32),
+                    self.indptr.astype(np.int32),
+                ),
+                shape=(n, n),
+            )
+        graph = self._scipy_graph
+        graph.data = costs[graph.indices]
+        total = costs.copy()
+        parents = []
+        for chain in chains:
+            dist, parent, _ = dijkstra(
+                graph,
+                directed=True,
+                indices=[self.index[q] for q in chain],
+                return_predecessors=True,
+                min_only=True,
+            )
+            total = total + dist
+            parents.append(parent)
+        total = total + amplitude * noise
+        root = int(np.argmin(total))
+        return (root if np.isfinite(total[root]) else -1), parents
+
+
+def _random_floats(rng: random.Random, n: int) -> np.ndarray:
+    """``[rng.random() for _ in range(n)]`` as an array, from one draw.
+
+    ``random()`` builds each float from two 32-bit Mersenne Twister
+    outputs ``a`` and ``b`` as ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
+    One ``getrandbits(64 * n)`` call consumes the same ``2n`` outputs,
+    least significant word first, and leaves the generator in the same
+    state, so the floats and every later draw are bit for bit the same.
+    """
+    words = np.frombuffer(
+        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4"
+    )
+    return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
 class _EmbedderState:
     """One attempt at embedding a source graph into a target graph.
 
-    Shortest paths run through scipy's C-level Dijkstra over a directed
-    adjacency whose edge weight into a node is that node's usage cost,
-    so a full-C16 search stays fast enough for the 25-compilation sweep
-    of Section 6.1.  Chains are sets of qubit labels: the iteration
-    order of each set is the Dijkstra's source order, which breaks its
-    distance ties, so chains are built by the same set operations
-    whatever checks run beside them.
+    Each variable's shortest paths run in one call,
+    :meth:`_SearchGraphs.search`, over a directed adjacency whose edge
+    weight into a node is that node's usage cost, so a full-C16 search
+    stays fast enough for the 25-compilation sweep of Section 6.1.
+    Chains are sets of qubit labels.  Their iteration order no longer
+    matters: both searches pop equal distances larger index first,
+    whatever the order of their sources.
     """
 
     def __init__(self, graphs: _SearchGraphs, rng: random.Random):
@@ -256,24 +345,6 @@ class _EmbedderState:
         return np.power(self.penalty_base, self.usage.astype(float))
 
     # -- shortest-path machinery ------------------------------------------
-    def _dijkstra_from_chain(self, chain: Set[Qubit]):
-        """Node-weighted multi-source Dijkstra (vectorized).
-
-        Distance to q counts the costs of the nodes *entered* along the
-        way (the chain's own qubits are free); the costs are the ones
-        :meth:`embed_variable` wrote into the shared CSR.  Returns
-        (dist, parent) as index-based numpy arrays.
-        """
-        sources = [self._index[q] for q in chain]
-        dist, predecessors, _ = self.graphs.dijkstra(
-            self.graphs.graph,
-            directed=True,
-            indices=sources,
-            return_predecessors=True,
-            min_only=True,
-        )
-        return dist, predecessors
-
     def _path_to_chain(self, start: int, parent: np.ndarray, chain: Set[Qubit]) -> Set[Qubit]:
         """Interior qubits of the tree path from ``start`` into ``chain``."""
         out: Set[Qubit] = set()
@@ -294,28 +365,20 @@ class _EmbedderState:
             q = self._cheapest_free_qubit()
             self._claim(v, {q})
             return
-        costs = self._cost_vector()
-        graph = self.graphs.graph
-        graph.data = costs[graph.indices]
-        searches = [
-            self._dijkstra_from_chain(self.chains[u]) for u in embedded_neighbors
-        ]
-        total = costs.copy()
-        for dist, _ in searches:
-            total = total + dist
-        # Tiny random noise breaks argmin ties and the cycles a fully
-        # deterministic improvement sweep can fall into.
-        finite = np.isfinite(total)
-        if finite.any():
-            total = total + self._noise * np.array(
-                [self.rng.random() for _ in range(self._n)]
-            )
-        best_root = int(np.argmin(total))
-        if not np.isfinite(total[best_root]):
+        # Random noise breaks root ties and the cycles a fully
+        # deterministic improvement sweep can fall into.  It is drawn
+        # before the searches; when no root exists the error below ends
+        # the restart, whose generator is then discarded.
+        noise = _random_floats(self.rng, self._n)
+        chains = [self.chains[u] for u in embedded_neighbors]
+        root, parents = self.graphs.search(
+            self._cost_vector(), chains, noise, self._noise
+        )
+        if root < 0:
             raise EmbeddingError(f"variable {v!r} cannot reach its neighbors")
-        chain: Set[Qubit] = {self._nodes[best_root]}
-        for u, (dist, parent) in zip(embedded_neighbors, searches):
-            chain |= self._path_to_chain(best_root, parent, self.chains[u])
+        chain: Set[Qubit] = {self._nodes[root]}
+        for parent, neighbor_chain in zip(parents, chains):
+            chain |= self._path_to_chain(root, parent, neighbor_chain)
         self._claim(v, self._trimmed(v, chain))
 
     def _cheapest_free_qubit(self) -> Qubit:
@@ -583,6 +646,7 @@ def find_embedding(
                     restarts=restarts,
                     source_size=len(source),
                     target_size=len(target),
+                    search=graphs.search_name,
                 )
                 return embedding
     trace.metrics().counter("embed.failures").inc()
@@ -600,9 +664,13 @@ def find_embedding(
 def _observe_embedding(
     embedding: "Embedding",
     elapsed_s: float,
-    **attributes: float,
+    **attributes: Any,
 ) -> None:
-    """Record a successful embedding search on the ambient collectors."""
+    """Record a successful embedding search on the ambient collectors.
+
+    The span's ``search`` attribute names the neighbour search that ran,
+    ``"native"`` or ``"scipy"``.
+    """
     if not trace.enabled():
         return
     chain_lengths = [len(chain) for chain in embedding.chains.values()]

@@ -13,16 +13,16 @@ This module centralizes the sweep primitives with three interchangeable
 tiers:
 
 * ``native`` -- one Metropolis sweep over the whole spin matrix in a
-  small C function (``metropolis.c``), compiled with the system ``cc``
-  on the first native anneal, cached under ``$XDG_CACHE_HOME/repro``
-  (``~/.cache/repro`` when unset) and loaded through :mod:`ctypes`.  It
-  runs only :func:`run_metropolis_sweeps`, the loop behind simulated
-  annealing, the simulated D-Wave machine and the runner's postprocess
-  anneal.  The C loop sweeps reads-minor ``(n, reads)`` copies of the
-  caller's spins and fields, eight reads per AVX-512 vector where the
-  CPU has it, and the copies are written back into the caller's
-  ``(reads, n)`` arrays when the anneal stops, so every tier updates
-  the same arrays in place;
+  small C function (``metropolis.c``), part of the one library
+  :mod:`repro.core.native` builds with the system ``cc`` on first use,
+  caches per user and loads through :mod:`ctypes`.  It runs only
+  :func:`run_metropolis_sweeps`, the loop behind simulated annealing,
+  the simulated D-Wave machine and the runner's postprocess anneal.
+  The C loop sweeps reads-minor ``(n, reads)`` copies of the caller's
+  spins and fields, eight reads per AVX-512 vector where the CPU has
+  it, and the copies are written back into the caller's ``(reads, n)``
+  arrays when the anneal stops, so every tier updates the same arrays
+  in place;
 * ``dense`` -- updates against a dense row of the J matrix (fast for
   small or high-density models, where BLAS beats indexing overhead);
 * ``sparse`` -- updates only the CSR neighbor list of the flipped spin
@@ -54,18 +54,11 @@ simulated annealing also accepts ``kernel="native"``.
 from __future__ import annotations
 
 import contextlib
-import ctypes
-import glob
-import hashlib
-import os
-import platform
-import subprocess
-import tempfile
-import threading
-import warnings
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Callable, Iterator, Optional
 
 import numpy as np
+
+from repro.core import native
 
 #: Kernel names.
 NATIVE = "native"
@@ -162,11 +155,12 @@ def choose_metropolis_kernel(
     ``ValueError`` with the reason (the build's first error line).
     """
     if kernel is None or kernel == NATIVE:
-        sweep, reason = _load_native()
-        if sweep is not None:
+        if native.function("repro_metropolis_sweep") is not None:
             return NATIVE
         if kernel == NATIVE:
-            raise ValueError(f"kernel 'native' is unavailable: {reason}")
+            raise ValueError(
+                f"kernel 'native' is unavailable: {native.unavailable_reason()}"
+            )
     return choose_kernel(num_variables, nnz, kernel, num_reads)
 
 
@@ -317,115 +311,6 @@ def make_mixed_flip_updater(
     return flip
 
 
-#: The native tier's C source; :func:`_load_native` compiles it.
-NATIVE_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "metropolis.c")
-#: ``-ffp-contract=off`` stops the compiler fusing ``f - step * J`` into
-#: one multiply-add, which rounds differently from numpy.  No
-#: ``-march``: the build must not assume the build host's CPU.
-NATIVE_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
-
-_native_lock = threading.Lock()
-#: ``(sweep function, None)`` after a successful load, ``(None, reason)``
-#: after a failed one, None before the first native anneal.
-_native_state: Optional[Tuple[Optional[Callable[..., int]], Optional[str]]] = None
-
-
-def native_unavailable_reason() -> Optional[str]:
-    """Why the native tier cannot run here, or None when it loads.
-
-    Builds and loads the library on the first call in a process.
-    """
-    return _load_native()[1]
-
-
-def _load_native() -> Tuple[Optional[Callable[..., int]], Optional[str]]:
-    """The native sweep function, or the reason it cannot run.
-
-    Built and loaded once per process; a failure warns once.
-    """
-    global _native_state
-    with _native_lock:
-        if _native_state is None:
-            _native_state = _open_native()
-            if _native_state[1] is not None:
-                warnings.warn(
-                    "native Metropolis tier unavailable, using the numpy "
-                    f"tiers: {_native_state[1]}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        return _native_state
-
-
-def _open_native() -> Tuple[Optional[Callable[..., int]], Optional[str]]:
-    """Build the library into the per-user cache if needed, then load it."""
-    try:
-        with open(NATIVE_SOURCE, "rb") as handle:
-            source = handle.read()
-        key = hashlib.sha256(
-            b"\0".join([
-                source,
-                " ".join(NATIVE_CFLAGS).encode(),
-                platform.machine().encode(),
-            ])
-        ).hexdigest()[:16]
-        cache_dir = os.path.join(
-            os.environ.get("XDG_CACHE_HOME")
-            or os.path.join(os.path.expanduser("~"), ".cache"),
-            "repro",
-        )
-        path = os.path.join(cache_dir, f"metropolis-{key}.so")
-        if not os.path.exists(path):
-            error = _compile_native(path)
-            if error is not None:
-                return None, error
-        sweep = ctypes.CDLL(path).repro_metropolis_sweep
-    except (OSError, subprocess.SubprocessError, AttributeError) as exc:
-        return None, f"{type(exc).__name__}: {exc}"
-    pointer = ctypes.c_void_p
-    sweep.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, pointer, pointer, pointer, pointer,
-        ctypes.c_double, pointer, pointer, pointer,
-    ]
-    sweep.restype = ctypes.c_int64
-    return sweep, None
-
-
-def _compile_native(path: str) -> Optional[str]:
-    """Compile into a private directory, then install at ``path``.
-
-    Returns the compiler's first error line on failure.  The atomic
-    install lets processes that build at the same moment each replace
-    the file whole, so none can load a partial library.
-    """
-    from repro.core.cache import atomic_write_bytes
-
-    with tempfile.TemporaryDirectory() as scratch:
-        built = os.path.join(scratch, "metropolis.so")
-        proc = subprocess.run(
-            ["cc", *NATIVE_CFLAGS, "-o", built, NATIVE_SOURCE],
-            capture_output=True, text=True, timeout=120,
-        )
-        if proc.returncode != 0:
-            lines = [line for line in proc.stderr.splitlines() if line.strip()]
-            errors = [line for line in lines if "error" in line]
-            return (errors or lines or [f"cc exited with status {proc.returncode}"])[0]
-        with open(built, "rb") as handle:
-            atomic_write_bytes(path, handle.read())
-    # Best effort: delete the libraries other sources left here (never
-    # an install's ``*.tmp``).  A process of another version may lose
-    # its library between building and loading it; it then warns once
-    # and falls back to numpy, with the same samples.
-    directory, current = os.path.split(path)
-    for stale in glob.glob(os.path.join(glob.escape(directory), "metropolis-*.so")):
-        if os.path.basename(stale) != current:
-            try:
-                os.remove(stale)
-            except OSError:
-                pass
-    return None
-
-
 #: One tier's sweep body, ``sweep(variables, log_u, two_beta) ->
 #: accepted``: it proposes ``variables[k]`` with threshold row
 #: ``log_u[k]`` across every read and updates the spins and fields it
@@ -463,9 +348,11 @@ def _native_sweeper(spins, fields, indptr, indices, data) -> Iterator[Sweeper]:
     loop ends, however it ends: the caller sees the state after the last
     completed sweep in the layout it passed in.
     """
-    function, reason = _load_native()
+    function = native.function("repro_metropolis_sweep")
     if function is None:
-        raise ValueError(f"kernel 'native' is unavailable: {reason}")
+        raise ValueError(
+            f"kernel 'native' is unavailable: {native.unavailable_reason()}"
+        )
     for name, array in (("spins", spins), ("fields", fields)):
         if (
             not isinstance(array, np.ndarray)

@@ -126,17 +126,47 @@ def figure2_program(compiler):
 
 
 def require_native_tier() -> None:
-    """Skip the calling test unless the native Metropolis tier loads here.
+    """Skip the calling test unless the native library loads here.
 
     ``tests/test_kernels.py::test_native_tier_loads_when_cc_is_present``
-    fails, rather than skips, when a compiler exists but the tier did
+    fails, rather than skips, when a compiler exists but the library did
     not load, so a host with ``cc`` cannot skip these silently.
     """
-    from repro.solvers import kernels
+    from repro.core import native
 
-    reason = kernels.native_unavailable_reason()
+    reason = native.unavailable_reason()
     if reason is not None:
         pytest.skip(f"native tier unavailable: {reason}")
+
+
+def break_native_build(tmp_path, monkeypatch) -> None:
+    """Make the native library fail to build for the calling test.
+
+    A source that does not compile, reset loader state and a private
+    ``XDG_CACHE_HOME``: the next native use warns once, and from then
+    on the Metropolis sweeps run on numpy and the embedder's searches
+    on scipy.  ``monkeypatch`` restores the loaded library afterwards.
+    """
+    from repro.core import native
+
+    broken = tmp_path / "broken.c"
+    broken.write_text("int repro_metropolis_sweep(void) { return }\n")
+    monkeypatch.setattr(native, "SOURCES", (str(broken),))
+    monkeypatch.setattr(native, "_state", None)
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+
+
+@pytest.fixture()
+def native_fallback(tmp_path, monkeypatch) -> str:
+    """Run the calling test on the fallbacks; returns the build's error."""
+    from repro.core import native
+
+    break_native_build(tmp_path, monkeypatch)
+    with pytest.warns(RuntimeWarning, match="native library unavailable") as caught:
+        reason = native.unavailable_reason()
+    assert len([w for w in caught if w.category is RuntimeWarning]) == 1
+    assert reason is not None
+    return reason
 
 
 @pytest.fixture()

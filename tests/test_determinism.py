@@ -15,6 +15,7 @@ Three invariants, per the sparse-kernel acceptance criteria:
 import numpy as np
 import pytest
 
+from repro.core.native import unavailable_reason
 from repro.ising.model import IsingModel
 from repro.solvers import kernels
 from repro.solvers.greedy import SteepestDescentSolver
@@ -93,7 +94,7 @@ def test_auto_kernel_selects_sparse_on_embedded_scale_model():
     n, nnz = len(model), len(model.to_csr()[3])
     assert kernels.choose_kernel(n, nnz, num_reads=8) == "sparse"
     assert kernels.choose_kernel(n, nnz, num_reads=2) == "dense"
-    native = kernels.native_unavailable_reason() is None
+    native = unavailable_reason() is None
     for num_reads, fallback in ((8, "sparse"), (2, "dense")):
         result = SimulatedAnnealingSampler(seed=0).sample(
             model, num_reads=num_reads, num_sweeps=5

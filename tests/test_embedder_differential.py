@@ -7,13 +7,17 @@ draws and the trim order decide the embedding, and the rewrite kept all
 three.  The cases span the benchmark's own inputs (45-variable verifiers
 on a C12 with yield faults), complete and random graphs on every
 topology family and on a degraded Chimera, integer and string labels,
-and several seeds.
+and several seeds.  Every case runs twice: on the search a process runs
+by default (the native library wherever it loads) and, as
+``*_on_scipy``, on the scipy fallback of a process whose library does
+not build.
 """
 
 import networkx as nx
 import pytest
 
 from repro import VerilogAnnealerCompiler
+from repro.core import native, trace
 from repro.core.workloads import map_coloring_verilog
 from repro.hardware import make_topology
 from repro.hardware.chimera import chimera_graph, coupler_dropout, dropout
@@ -60,17 +64,40 @@ SOURCES = {
 }
 
 
-def _assert_same_chains(source, target, seed, **budget):
-    ours = find_embedding(source, target, seed=seed, **budget)
+def _assert_same_chains(source, target, seed, search, **budget):
+    with trace.capture() as (tracer, _):
+        ours = find_embedding(source, target, seed=seed, **budget)
     reference = reference_find_embedding(source, target, seed=seed, **budget)
+    assert tracer.find("embed.find_embedding").attributes["search"] == search
     assert list(ours.chains.items()) == list(reference.chains.items())
 
 
-@pytest.mark.parametrize("seed", [0, 7])
-@pytest.mark.parametrize("target_name", sorted(TARGETS))
-@pytest.mark.parametrize("source_name", sorted(SOURCES))
-def test_small_graphs_match_reference(source_name, target_name, seed):
-    _assert_same_chains(SOURCES[source_name](), TARGETS[target_name](), seed)
+@pytest.fixture()
+def default_search():
+    """The search a process runs by default: native wherever it loads."""
+    return "native" if native.unavailable_reason() is None else "scipy"
+
+
+SMALL_CASES = [
+    (source_name, target_name, seed)
+    for source_name in sorted(SOURCES)
+    for target_name in sorted(TARGETS)
+    for seed in (0, 7)
+]
+
+
+@pytest.mark.parametrize("source_name, target_name, seed", SMALL_CASES)
+def test_small_graphs_match_reference(source_name, target_name, seed, default_search):
+    _assert_same_chains(
+        SOURCES[source_name](), TARGETS[target_name](), seed, default_search
+    )
+
+
+@pytest.mark.parametrize("source_name, target_name, seed", SMALL_CASES)
+def test_small_graphs_match_reference_on_scipy(
+    source_name, target_name, seed, native_fallback
+):
+    _assert_same_chains(SOURCES[source_name](), TARGETS[target_name](), seed, "scipy")
 
 
 @pytest.fixture(scope="module")
@@ -90,24 +117,47 @@ def verifier_graphs():
     }
 
 
-@pytest.mark.parametrize(
-    "design, labels, seed",
-    [("mult3", "str", 11), ("mult3", "int", 1127469935), ("map5", "str", 3)],
-)
-def test_verifiers_on_c12_match_reference(
-    verifier_graphs, c12_with_yield_faults, design, labels, seed
-):
-    source = verifier_graphs[design]
+VERIFIER_CASES = [("mult3", "str", 11), ("mult3", "int", 1127469935), ("map5", "str", 3)]
+
+
+def _assert_verifier_matches(graphs, target, design, labels, seed, search):
+    source = graphs[design]
     if labels == "int":
         source = nx.convert_node_labels_to_integers(source)
-    _assert_same_chains(
-        source, c12_with_yield_faults, seed, tries=16, max_attempts=3
+    _assert_same_chains(source, target, seed, search, tries=16, max_attempts=3)
+
+
+@pytest.mark.parametrize("design, labels, seed", VERIFIER_CASES)
+def test_verifiers_on_c12_match_reference(
+    verifier_graphs, c12_with_yield_faults, design, labels, seed, default_search
+):
+    _assert_verifier_matches(
+        verifier_graphs, c12_with_yield_faults, design, labels, seed, default_search
     )
 
 
-def test_escalated_attempts_match_reference():
+@pytest.mark.parametrize("design, labels, seed", VERIFIER_CASES)
+def test_verifiers_on_c12_match_reference_on_scipy(
+    verifier_graphs, c12_with_yield_faults, design, labels, seed, native_fallback
+):
+    _assert_verifier_matches(
+        verifier_graphs, c12_with_yield_faults, design, labels, seed, "scipy"
+    )
+
+
+def _escalated_case():
     """K7 on a damaged C2 fails its first two attempts (five failed
     restarts), so both sides run the escalation's deeper rounds."""
-    target = dropout(chimera_graph(2), fraction=0.1, seed=1)
-    source = nx.complete_graph(7)
-    _assert_same_chains(source, target, 0, tries=2, rounds=1, max_attempts=3)
+    return nx.complete_graph(7), dropout(chimera_graph(2), fraction=0.1, seed=1)
+
+
+def test_escalated_attempts_match_reference(default_search):
+    source, target = _escalated_case()
+    _assert_same_chains(
+        source, target, 0, default_search, tries=2, rounds=1, max_attempts=3
+    )
+
+
+def test_escalated_attempts_match_reference_on_scipy(native_fallback):
+    source, target = _escalated_case()
+    _assert_same_chains(source, target, 0, "scipy", tries=2, rounds=1, max_attempts=3)

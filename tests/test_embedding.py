@@ -291,24 +291,36 @@ PINNED_SOURCES = {
 }
 
 
-@pytest.mark.parametrize(
-    "source_name, family, size, seed, digest",
-    [
-        ("K5", "chimera", 4, 0, "ccc3952f5cba7ce9"),
-        ("K8-str", "chimera", 4, 0, "c21e01685957ecac"),
-        ("XOR", "chimera", 4, 3, "ec74979c53a6a571"),
-        ("gnp10", "pegasus", 3, 2, "29da3a9059b10799"),
-        ("K6", "zephyr", 2, 5, "5b36956e201e0470"),
-    ],
-)
+PINNED_EMBEDDINGS = [
+    ("K5", "chimera", 4, 0, "ccc3952f5cba7ce9"),
+    ("K8-str", "chimera", 4, 0, "c21e01685957ecac"),
+    ("XOR", "chimera", 4, 3, "ec74979c53a6a571"),
+    ("gnp10", "pegasus", 3, 2, "29da3a9059b10799"),
+    ("K6", "zephyr", 2, 5, "5b36956e201e0470"),
+]
+
+
+def _pinned_embedding_digest(source_name, family, size, seed):
+    target = make_topology(family, size=size).graph
+    embedding = find_embedding(PINNED_SOURCES[source_name](), target, seed=seed)
+    return _chain_digest(embedding)
+
+
+@pytest.mark.parametrize("source_name, family, size, seed, digest", PINNED_EMBEDDINGS)
 def test_pinned_embeddings(source_name, family, size, seed, digest):
     """The same (source, target, seed) gives the same chains.
 
     A change to these digests changes every cached embedding: bump
     ``EMBEDDER_VERSION`` with it, in one reviewed re-pin."""
-    target = make_topology(family, size=size).graph
-    embedding = find_embedding(PINNED_SOURCES[source_name](), target, seed=seed)
-    assert _chain_digest(embedding) == digest
+    assert _pinned_embedding_digest(source_name, family, size, seed) == digest
+
+
+@pytest.mark.parametrize("source_name, family, size, seed, digest", PINNED_EMBEDDINGS)
+def test_pinned_embeddings_on_scipy(
+    source_name, family, size, seed, digest, native_fallback
+):
+    """A process whose native library does not build finds the same chains."""
+    assert _pinned_embedding_digest(source_name, family, size, seed) == digest
 
 
 # ----------------------------------------------------------------------

@@ -24,9 +24,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.core import native, trace
 from repro.core.compiler import VerilogAnnealerCompiler
 from repro.ising.model import IsingModel
-from repro.solvers import kernels
 from repro.solvers.greedy import SteepestDescentSolver
 from repro.solvers.machine import DWaveSimulator, MachineProperties
 from repro.solvers.neal import SimulatedAnnealingSampler
@@ -34,7 +34,7 @@ from repro.solvers.qbsolv import QBSolv
 from repro.solvers.shard import ShardSolver
 from repro.solvers.sqa import PathIntegralAnnealer
 from repro.solvers.tabu import TabuSampler
-from tests.conftest import require_native_tier
+from tests.conftest import break_native_build, require_native_tier
 
 EXAMPLES = os.path.join(os.path.dirname(os.path.dirname(__file__)), "examples")
 
@@ -113,14 +113,10 @@ def test_pinned_sa_digest_on_native_tier():
 
 def test_pinned_sa_digest_when_native_build_fails(tmp_path, monkeypatch):
     """A source that does not compile leaves auto ``sa`` on numpy, same set."""
-    broken = tmp_path / "broken.c"
-    broken.write_text("int repro_metropolis_sweep(void) { return }\n")
-    monkeypatch.setattr(kernels, "NATIVE_SOURCE", str(broken))
-    monkeypatch.setattr(kernels, "_native_state", None)
-    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
-    with pytest.warns(RuntimeWarning, match="native Metropolis tier unavailable") as caught:
+    break_native_build(tmp_path, monkeypatch)
+    with pytest.warns(RuntimeWarning, match="native library unavailable") as caught:
         result = SAMPLERS["sa"](None)
-        reason = kernels.native_unavailable_reason()
+        reason = native.unavailable_reason()
     warned = [w for w in caught if w.category is RuntimeWarning]
     assert len(warned) == 1 and reason in str(warned[0].message)
     assert reason and "\n" not in reason
@@ -212,26 +208,40 @@ def map_coloring_source():
         return handle.read()
 
 
-@pytest.mark.parametrize(
-    "solver, num_reads, digest, certified",
-    [
-        ("sa", 40, "615b7950a74c6933", 18),
-        ("dwave", 40, "93a47de14aa0e427", 10),
-        ("qbsolv", 4, "231dd3624197ee32", 0),
-    ],
-)
+MAP_COLORING_RUNS = [
+    ("sa", 40, "615b7950a74c6933", 18),
+    ("dwave", 40, "93a47de14aa0e427", 10),
+    ("qbsolv", 4, "231dd3624197ee32", 0),
+]
+
+
+def _map_coloring_run(source, solver, num_reads):
+    # A fresh compiler per run: the machine's RNG advances across runs.
+    result = VerilogAnnealerCompiler(seed=3, cache=False).run(
+        source, pins=["valid := true"], solver=solver,
+        num_reads=num_reads, certify=True,
+    )
+    return _digest(result.sampleset), result.certificate.certified_reads
+
+
+@pytest.mark.parametrize("solver, num_reads, digest, certified", MAP_COLORING_RUNS)
 def test_pinned_map_coloring_runs(
     map_coloring_source, solver, num_reads, digest, certified
 ):
-    # A fresh compiler per run: the machine's RNG advances across runs.
-    result = VerilogAnnealerCompiler(seed=3, cache=False).run(
-        map_coloring_source, pins=["valid := true"], solver=solver,
-        num_reads=num_reads, certify=True,
-    )
-    assert (_digest(result.sampleset), result.certificate.certified_reads) == (
+    assert _map_coloring_run(map_coloring_source, solver, num_reads) == (
         digest,
         certified,
     )
+
+
+def test_pinned_dwave_run_when_native_build_fails(map_coloring_source, native_fallback):
+    """Without the native library the embedder searches through scipy
+    and the machine sweeps on numpy, and the run gives the pinned set."""
+    solver, num_reads, digest, certified = MAP_COLORING_RUNS[1]
+    with trace.capture() as (tracer, _):
+        run = _map_coloring_run(map_coloring_source, solver, num_reads)
+    assert tracer.find("embed.find_embedding").attributes["search"] == "scipy"
+    assert run == (digest, certified)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import native
 from repro.ising.model import IsingModel
 from repro.qmasm.runner import QmasmRunner
 from repro.solvers import kernels
@@ -349,7 +350,7 @@ def test_native_tier_loads_when_cc_is_present():
     """
     if shutil.which("cc") is None:
         pytest.skip("no C compiler on PATH")
-    assert kernels.native_unavailable_reason() is None
+    assert native.unavailable_reason() is None
     result = SimulatedAnnealingSampler(seed=0).sample(
         _ring_model(70), num_reads=8, num_sweeps=5
     )
@@ -405,24 +406,26 @@ def test_concurrent_first_builds_share_one_cache(tmp_path):
 
 
 def test_native_build_prunes_stale_libraries(tmp_path, monkeypatch):
-    """Installing a build removes the libraries older sources left."""
+    """Installing a build removes the libraries older sources left,
+    including the sweep-only ``metropolis-*.so`` of older versions."""
     require_native_tier()
     cache = tmp_path / "cache" / "repro"
     cache.mkdir(parents=True)
-    stale = cache / "metropolis-0123456789abcdef.so"
-    stale.write_bytes(b"a build of an older metropolis.c")
-    in_progress = cache / "metropolis-fedcba9876543210.so.4242.tmp"
+    stale = [cache / "metropolis-0123456789abcdef.so", cache / "native-0123456789abcdef.so"]
+    for path in stale:
+        path.write_bytes(b"a build of older sources")
+    in_progress = cache / "native-fedcba9876543210.so.4242.tmp"
     in_progress.write_bytes(b"another process's install")
-    monkeypatch.setattr(kernels, "_native_state", None)
+    monkeypatch.setattr(native, "_state", None)
     monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
     result = SimulatedAnnealingSampler(seed=0).sample(
         _ring_model(70), num_reads=8, num_sweeps=5, kernel="native"
     )
     assert result.info["kernel"] == kernels.NATIVE
-    assert not stale.exists()
+    assert not any(path.exists() for path in stale)
     assert in_progress.exists()
-    libraries = list(cache.glob("metropolis-*.so"))
-    assert len(libraries) == 1 and libraries[0] != stale
+    libraries = list(cache.glob("*.so"))
+    assert len(libraries) == 1 and libraries[0].name.startswith("native-")
 
 
 @pytest.mark.parametrize("n, tier", [(20, "dense"), (80, "sparse")])

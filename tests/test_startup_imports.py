@@ -65,22 +65,48 @@ for package in ("repro", "repro.core", "repro.ising", "repro.hardware", "repro.s
     assert loaded == []
 
 
-#: Each runs first in its own interpreter, so it must import what it
-#: needs; it names the modules it must have loaded by the time it ends.
-_FIRST_USE = {
-    "find_embedding": ("""
+#: Embeds a triangle, which needs a chain on the bipartite Chimera.
+_EMBED_TRIANGLE = """
 from repro.hardware import find_embedding, make_topology
 from repro.hardware.embedding import source_graph_of
 from repro.ising import IsingModel
 
-# A triangle has an odd cycle, so the bipartite Chimera needs a chain.
 model = IsingModel({}, {("a", "b"): 1.0, ("b", "c"): 1.0, ("a", "c"): 1.0})
 embedding = find_embedding(
     source_graph_of(model), make_topology("chimera", size=2).graph, seed=0
 )
 assert sorted(embedding.chains) == ["a", "b", "c"]
 assert embedding.total_qubits() >= 4
-""", {"scipy.sparse.csgraph", "networkx"}),
+"""
+
+#: Each runs first in its own interpreter, so it must import what it
+#: needs; it names the modules it must have loaded by the time it ends.
+#: The embedder searches in the native library and needs scipy only as
+#: the fallback of a process whose library does not build, which the
+#: ``find_embedding_fallback`` script forces with a source that does
+#: not compile.
+_FIRST_USE = {
+    "find_embedding": (_EMBED_TRIANGLE + """
+from repro.core import native
+
+if native.unavailable_reason() is None:
+    assert not any(m.split(".")[0] == "scipy" for m in sys.modules)
+""", {"networkx"}),
+    "find_embedding_fallback": ("""
+import os, tempfile, warnings
+from repro.core import native
+
+with tempfile.TemporaryDirectory() as scratch:
+    broken = os.path.join(scratch, "broken.c")
+    with open(broken, "w") as handle:
+        handle.write("int repro_chain_searches(void) { return }\\n")
+    native.SOURCES = (broken,)
+    os.environ["XDG_CACHE_HOME"] = scratch
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert native.unavailable_reason() is not None
+    assert len(caught) == 1, caught
+""" + _EMBED_TRIANGLE, {"scipy.sparse.csgraph", "networkx"}),
     "fix_variables": ("""
 from repro.ising import SPIN_FALSE, IsingModel, fix_variables
 
