@@ -2,7 +2,8 @@
 
 Two C sources run the package's innermost loops: ``metropolis.c`` the
 Metropolis sweep of :mod:`repro.solvers.kernels`, and ``chain_search.c``
-the neighbour-chain searches of :mod:`repro.hardware.embedding`.  The
+the neighbour-chain searches and chain trims of
+:mod:`repro.hardware.embedding`.  The
 first call that needs either compiles both into one shared library with
 the system ``cc``, installs it in the per-user cache
 (``$XDG_CACHE_HOME/repro``, ``~/.cache/repro`` when unset) under a name
@@ -45,6 +46,12 @@ _SIGNATURES = {
     ),
     "repro_chain_searches": (
         _I64, (_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _F64, _PTR)
+    ),
+    "repro_grow_chain": (
+        _I64, (_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _PTR, _F64, _PTR, _PTR, _PTR)
+    ),
+    "repro_trim_chain": (
+        _I64, (_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR)
     ),
 }
 

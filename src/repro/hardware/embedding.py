@@ -21,6 +21,7 @@ compilation to compilation -- exactly the behaviour Section 6.1 reports
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
 import weakref
@@ -176,12 +177,14 @@ class _SearchGraphs:
     ``find_embedding`` builds one per call and every restart shares it.
     The search loop reads adjacency from here and never calls networkx.
     The target's CSR holds each edge in both directions, each row's
-    columns ascending, built with numpy.  :meth:`search` runs a
-    variable's neighbour-chain searches in the native library when it
-    loads (``search_name`` ``"native"``) and through scipy's Dijkstra
-    otherwise (``"scipy"``); both give the same root and the same
-    predecessors along every root-to-chain path, so scipy is imported
-    only by a process whose library cannot load.
+    columns ascending, built with numpy, and ``rank`` gives each qubit's
+    place in label order.  :meth:`grow` takes a whole ``embed_variable``
+    step, :meth:`search` its searches alone and :meth:`trim` a trim
+    alone.  Each runs in the native library when it loads
+    (``search_name`` ``"native"``) and otherwise through scipy's
+    Dijkstra and the Python walk and trim (``"scipy"``), with the same
+    results, so scipy is imported only by a process whose library cannot
+    load.
     """
 
     def __init__(self, source: nx.Graph, target: nx.Graph):
@@ -206,9 +209,68 @@ class _SearchGraphs:
         self.indices = cols[np.lexsort((cols, rows))]
         self.indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n), out=self.indptr[1:])
-        self._native = native.function("repro_chain_searches")
-        self.search_name = "scipy" if self._native is None else "native"
+        self._searches = native.function("repro_chain_searches")
+        self._grow = native.function("repro_grow_chain")
+        self._trim = native.function("repro_trim_chain")
+        self.rank = np.empty(n, dtype=np.int32)
+        try:
+            self.rank[sorted(range(n), key=self.nodes.__getitem__)] = np.arange(n)
+        except TypeError:
+            # Labels with no one order: only the Python trim, which
+            # sorts each chain on its own, can trim them as before.
+            self._searches = self._grow = self._trim = None
+        self.search_name = "scipy" if self._grow is None else "native"
         self._scipy_graph = None
+
+    def grow(
+        self,
+        costs: np.ndarray,
+        chains: List[Set[Qubit]],
+        noise: np.ndarray,
+        amplitude: float,
+    ) -> Tuple[int, List[List[Qubit]], List[Qubit]]:
+        """One ``embed_variable`` step for a variable whose neighbours
+        hold ``chains``.
+
+        Chooses the root as :meth:`search` does, walks from it into each
+        chain along that chain's search, and trims the walks' union as
+        :meth:`trim` does.  Returns the root's index (-1 when no qubit
+        reaches every chain, with no walks), each walk's qubits in walk
+        order, and the qubits trimming removes, in removal order: the
+        lists ``embed_variable`` replays to build the chain's set.
+        """
+        costs, noise = self._checked(costs, chains, noise, amplitude)
+        if self._grow is None:
+            root, parents = self._scipy_search(costs, chains, noise, amplitude)
+            if root < 0:
+                return root, [], []
+            walks = [
+                self._path_to_chain(root, parent, chain)
+                for parent, chain in zip(parents, chains)
+            ]
+            union = {self.nodes[root]}.union(*walks)
+            return root, walks, self._python_trim(union, chains)
+        n = len(self.nodes)
+        starts, sources = self._sources(chains)
+        out = np.empty((len(chains) + 1) * n, dtype=np.int32)
+        counts = np.empty(len(chains) + 1, dtype=np.int64)
+        root = self._grow(
+            n, self.indptr.ctypes.data, self.indices.ctypes.data,
+            costs.ctypes.data, len(chains), starts.ctypes.data,
+            sources.ctypes.data, noise.ctypes.data, amplitude,
+            self.rank.ctypes.data, out.ctypes.data, counts.ctypes.data,
+        )
+        _raise_for_status(root)
+        if root < 0:
+            return root, [], []
+        lengths = counts.tolist()
+        qubits = [self.nodes[i] for i in out[: sum(lengths)].tolist()]
+        walks = []
+        at = 0
+        for length in lengths[:-1]:
+            walks.append(qubits[at : at + length])
+            at += length
+        return root, walks, qubits[at:]
 
     def search(
         self,
@@ -225,8 +287,55 @@ class _SearchGraphs:
         amplitude * noise``, the first index on a tie.  Returns the
         root's index, -1 when no qubit is reachable from every chain, and
         each search's predecessor array, exact along every path from the
-        root into its chain.
+        root into its chain.  The native searches stop early, which is
+        exact only while every term of a total is non-negative: a
+        negative or NaN amplitude, cost or noise value is a
+        ``ValueError`` on either path.
         """
+        costs, noise = self._checked(costs, chains, noise, amplitude)
+        if self._searches is None:
+            return self._scipy_search(costs, chains, noise, amplitude)
+        n = len(self.nodes)
+        starts, sources = self._sources(chains)
+        parents = np.empty((len(chains), n), dtype=np.int32)
+        root = self._searches(
+            n, self.indptr.ctypes.data, self.indices.ctypes.data,
+            costs.ctypes.data, len(chains), starts.ctypes.data,
+            sources.ctypes.data, noise.ctypes.data, amplitude,
+            parents.ctypes.data,
+        )
+        _raise_for_status(root)
+        return root, parents
+
+    def trim(self, chain: Set[Qubit], neighbor_chains: List[Set[Qubit]]) -> List[Qubit]:
+        """The qubits trimming removes from the connected ``chain``, in
+        removal order.
+
+        Each pass removes the first qubit, in label order, that is
+        neither a cut qubit of the chain nor the chain's only qubit
+        touching some neighbour chain's halo (the qubits adjacent to that
+        chain).  Trimming stops when no qubit qualifies, when one is
+        left, or at once when the chain touches some halo nowhere.
+        """
+        if len(chain) < 2:
+            return []
+        if self._trim is None:
+            return self._python_trim(chain, neighbor_chains)
+        starts, sources = self._sources(neighbor_chains)
+        members = np.fromiter(
+            (self.index[q] for q in chain), dtype=np.int32, count=len(chain)
+        )
+        removed = np.empty(len(chain), dtype=np.int32)
+        count = self._trim(
+            len(self.nodes), self.indptr.ctypes.data, self.indices.ctypes.data,
+            self.rank.ctypes.data, len(neighbor_chains), starts.ctypes.data,
+            sources.ctypes.data, len(chain), members.ctypes.data,
+            removed.ctypes.data,
+        )
+        _raise_for_status(count)
+        return [self.nodes[i] for i in removed[:count].tolist()]
+
+    def _checked(self, costs, chains, noise, amplitude):
         n = len(self.nodes)
         costs = np.ascontiguousarray(costs, dtype=np.float64)
         noise = np.ascontiguousarray(noise, dtype=np.float64)
@@ -234,29 +343,29 @@ class _SearchGraphs:
             raise ValueError(
                 f"a search needs {n} costs, {n} noise values and non-empty chains"
             )
-        if self._native is None:
-            return self._scipy_search(costs, chains, noise, amplitude)
+        if not 0.0 <= amplitude < math.inf:
+            raise ValueError(
+                f"the noise amplitude must be finite and non-negative, got {amplitude!r}"
+            )
+        return costs, noise
+
+    def _sources(self, chains: List[Set[Qubit]]) -> Tuple[np.ndarray, np.ndarray]:
+        """Each chain's offset into the sources, and every chain's qubit
+        indices, chain after chain."""
         sources = np.fromiter(
             (self.index[q] for chain in chains for q in chain), dtype=np.int64
         )
         starts = np.zeros(len(chains) + 1, dtype=np.int64)
         np.cumsum([len(chain) for chain in chains], out=starts[1:])
-        parents = np.empty((len(chains), n), dtype=np.int32)
-        root = self._native(
-            n, self.indptr.ctypes.data, self.indices.ctypes.data,
-            costs.ctypes.data, len(chains), starts.ctypes.data,
-            sources.ctypes.data, noise.ctypes.data, amplitude,
-            parents.ctypes.data,
-        )
-        if root == -2:
-            raise MemoryError("the native chain search ran out of memory")
-        return root, parents
+        return starts, sources
 
     def _scipy_search(self, costs, chains, noise, amplitude):
         """:meth:`search` through full scipy searches, for hosts without
         the native library: scipy pops in the native search's order."""
         from scipy.sparse.csgraph import dijkstra
 
+        if not ((costs >= 0.0).all() and (noise >= 0.0).all()):
+            _raise_for_status(_BAD_INPUT)
         if self._scipy_graph is None:
             from scipy.sparse import csr_matrix
 
@@ -287,6 +396,126 @@ class _SearchGraphs:
         root = int(np.argmin(total))
         return (root if np.isfinite(total[root]) else -1), parents
 
+    def _path_to_chain(self, start: int, parent: np.ndarray, chain: Set[Qubit]) -> List[Qubit]:
+        """The qubits of the tree path from ``start`` up to ``chain``, in
+        walk order: the walk of :meth:`grow` in Python."""
+        out: List[Qubit] = []
+        node = start
+        while node >= 0 and self.nodes[node] not in chain:
+            out.append(self.nodes[node])
+            node = int(parent[node])
+        if node < 0 and self.nodes[start] not in chain:
+            raise EmbeddingError("disconnected shortest-path tree")
+        return out
+
+    def _python_trim(self, chain: Set[Qubit], neighbor_chains: List[Set[Qubit]]) -> List[Qubit]:
+        """:meth:`trim` in Python, for hosts without the native library."""
+        adjacency = self.adjacency
+        halos: List[Set[Qubit]] = []
+        for neighbor_chain in neighbor_chains:
+            halo: Set[Qubit] = set()
+            for q in neighbor_chain:
+                halo.update(adjacency[q])
+            halos.append(halo)
+        chain = set(chain)
+        removed: List[Qubit] = []
+        while len(chain) > 1:
+            pinned: Set[Qubit] = set()
+            for halo in halos:
+                touching = chain & halo
+                if not touching:
+                    return removed
+                if len(touching) == 1:
+                    pinned |= touching
+            cut = self._cut_qubits(chain)
+            for q in sorted(chain):
+                if q not in pinned and q not in cut:
+                    chain.discard(q)
+                    removed.append(q)
+                    break
+            else:
+                return removed
+        return removed
+
+    def _cut_qubits(self, chain: Set[Qubit]) -> Set[Qubit]:
+        """The chain's cut qubits: those whose removal disconnects it.
+
+        Chains are connected -- a root plus tree paths into neighbor
+        chains, trimmed only at non-cut qubits -- so removing any other
+        qubit leaves a connected chain.  An iterative depth-first search
+        over the target adjacency finds them in one pass (Hopcroft and
+        Tarjan's low-point rule).
+        """
+        adjacency = self.adjacency
+        root = next(iter(chain))
+        order = {root: 0}
+        low = {root: 0}
+        cut: Set[Qubit] = set()
+        root_children = 0
+        stack = [(root, iter(adjacency[root]))]
+        while stack:
+            q, neighbors = stack[-1]
+            for r in neighbors:
+                if r not in chain:
+                    continue
+                if r in order:
+                    if order[r] < low[q]:
+                        low[q] = order[r]
+                    continue
+                order[r] = low[r] = len(order)
+                stack.append((r, iter(adjacency[r])))
+                break
+            else:
+                stack.pop()
+                if not stack:
+                    break
+                parent = stack[-1][0]
+                if low[q] < low[parent]:
+                    low[parent] = low[q]
+                if parent == root:
+                    root_children += 1
+                elif low[q] >= order[parent]:
+                    cut.add(parent)
+        if root_children > 1:
+            cut.add(root)
+        return cut
+
+
+#: What the native calls return for a negative or NaN cost or noise
+#: value, and when memory runs out.
+_BAD_INPUT, _NO_MEMORY = -3, -2
+
+
+def _raise_for_status(status: int) -> None:
+    if status == _BAD_INPUT:
+        raise ValueError("search costs and noise values must be non-negative")
+    if status == _NO_MEMORY:
+        raise MemoryError("the native chain search ran out of memory")
+
+
+def _grown(root: Qubit, walks: List[List[Qubit]], removed: Sequence[Qubit]) -> Set[Qubit]:
+    """The chain of one :meth:`_SearchGraphs.grow` step, as a set built
+    by the operations that always built it: the root, each walk's set
+    joined in turn, then :func:`_trimmed`."""
+    chain = {root}
+    for walk in walks:
+        chain |= set(walk)
+    return _trimmed(chain, removed)
+
+
+def _trimmed(chain: Set[Qubit], removed: Sequence[Qubit]) -> Set[Qubit]:
+    """``chain`` without ``removed``, through the set operations trimming
+    has always run: one copy, then one difference per removed qubit.
+
+    A chain's iteration order is the order ``embed_ising`` gives its
+    qubits, and these operations fix it; a set built from the final
+    qubits would hold the same qubits in another order.
+    """
+    chain = set(chain)
+    for q in removed:
+        chain = chain - {q}
+    return chain
+
 
 def _random_floats(rng: random.Random, n: int) -> np.ndarray:
     """``[rng.random() for _ in range(n)]`` as an array, from one draw.
@@ -306,13 +535,14 @@ def _random_floats(rng: random.Random, n: int) -> np.ndarray:
 class _EmbedderState:
     """One attempt at embedding a source graph into a target graph.
 
-    Each variable's shortest paths run in one call,
-    :meth:`_SearchGraphs.search`, over a directed adjacency whose edge
+    Each variable's shortest paths, walks and trim run in one call,
+    :meth:`_SearchGraphs.grow`, over a directed adjacency whose edge
     weight into a node is that node's usage cost, so a full-C16 search
     stays fast enough for the 25-compilation sweep of Section 6.1.
-    Chains are sets of qubit labels.  Their iteration order no longer
-    matters: both searches pop equal distances larger index first,
-    whatever the order of their sources.
+    Chains are sets of qubit labels.  The searches ignore their
+    iteration order, as both pop equal distances larger index first
+    whatever the order of their sources, but ``embed_ising`` follows it,
+    so each chain's set is built by the same operations as always.
     """
 
     def __init__(self, graphs: _SearchGraphs, rng: random.Random):
@@ -344,18 +574,6 @@ class _EmbedderState:
     def _cost_vector(self) -> np.ndarray:
         return np.power(self.penalty_base, self.usage.astype(float))
 
-    # -- shortest-path machinery ------------------------------------------
-    def _path_to_chain(self, start: int, parent: np.ndarray, chain: Set[Qubit]) -> Set[Qubit]:
-        """Interior qubits of the tree path from ``start`` into ``chain``."""
-        out: Set[Qubit] = set()
-        node = start
-        while node >= 0 and self._nodes[node] not in chain:
-            out.add(self._nodes[node])
-            node = int(parent[node])
-        if node < 0 and self._nodes[start] not in chain:
-            raise EmbeddingError("disconnected shortest-path tree")
-        return out
-
     # -- embedding a single variable ---------------------------------------
     def embed_variable(self, v: Variable) -> None:
         embedded_neighbors = [
@@ -371,15 +589,12 @@ class _EmbedderState:
         # the restart, whose generator is then discarded.
         noise = _random_floats(self.rng, self._n)
         chains = [self.chains[u] for u in embedded_neighbors]
-        root, parents = self.graphs.search(
+        root, walks, removed = self.graphs.grow(
             self._cost_vector(), chains, noise, self._noise
         )
         if root < 0:
             raise EmbeddingError(f"variable {v!r} cannot reach its neighbors")
-        chain: Set[Qubit] = {self._nodes[root]}
-        for parent, neighbor_chain in zip(parents, chains):
-            chain |= self._path_to_chain(root, parent, neighbor_chain)
-        self._claim(v, self._trimmed(v, chain))
+        self._claim(v, _grown(self._nodes[root], walks, removed))
 
     def _cheapest_free_qubit(self) -> Qubit:
         min_usage = int(self.usage.min())
@@ -444,89 +659,20 @@ class _EmbedderState:
         return int(self.usage.max()) if self._n else 0
 
     # -- post-processing -------------------------------------------------------
-    def _trimmed(self, v: Variable, chain: Set[Qubit]) -> Set[Qubit]:
-        """Drop chain qubits not needed for connectivity or coupling.
+    def trim_chains(self) -> None:
+        """Re-trim every chain against its final neighborhood.
 
         Keeping chains tight as they are built (not just at the end) is
         what lets the improvement rounds converge: bloated path unions
-        crowd the graph and force overlaps.  Each pass removes the first
-        qubit, in sorted order, that is neither a cut qubit of the chain
-        nor the chain's only qubit touching some neighbor chain's halo
-        (the qubits adjacent to that chain).
+        crowd the graph and force overlaps.
         """
-        adjacency = self.graphs.adjacency
-        halos: List[Set[Qubit]] = []
-        for u in self.graphs.neighbors[v]:
-            if u in self.chains:
-                halo: Set[Qubit] = set()
-                for q in self.chains[u]:
-                    halo.update(adjacency[q])
-                halos.append(halo)
-        chain = set(chain)
-        while len(chain) > 1:
-            pinned: Set[Qubit] = set()
-            for halo in halos:
-                touching = chain & halo
-                if not touching:
-                    return chain
-                if len(touching) == 1:
-                    pinned |= touching
-            cut = self._cut_qubits(chain)
-            for q in sorted(chain):
-                if q not in pinned and q not in cut:
-                    chain = chain - {q}
-                    break
-            else:
-                return chain
-        return chain
-
-    def _cut_qubits(self, chain: Set[Qubit]) -> Set[Qubit]:
-        """The chain's cut qubits: those whose removal disconnects it.
-
-        Chains are connected -- a root plus tree paths into neighbor
-        chains, trimmed only at non-cut qubits -- so removing any other
-        qubit leaves a connected chain.  An iterative depth-first search
-        over the target adjacency finds them in one pass (Hopcroft and
-        Tarjan's low-point rule).
-        """
-        adjacency = self.graphs.adjacency
-        root = next(iter(chain))
-        order = {root: 0}
-        low = {root: 0}
-        cut: Set[Qubit] = set()
-        root_children = 0
-        stack = [(root, iter(adjacency[root]))]
-        while stack:
-            q, neighbors = stack[-1]
-            for r in neighbors:
-                if r not in chain:
-                    continue
-                if r in order:
-                    if order[r] < low[q]:
-                        low[q] = order[r]
-                    continue
-                order[r] = low[r] = len(order)
-                stack.append((r, iter(adjacency[r])))
-                break
-            else:
-                stack.pop()
-                if not stack:
-                    break
-                parent = stack[-1][0]
-                if low[q] < low[parent]:
-                    low[parent] = low[q]
-                if parent == root:
-                    root_children += 1
-                elif low[q] >= order[parent]:
-                    cut.add(parent)
-        if root_children > 1:
-            cut.add(root)
-        return cut
-
-    def trim_chains(self) -> None:
-        """Re-trim every chain against its final neighborhood."""
         for v in list(self.chains):
-            chain = self._trimmed(v, self.chains[v])
+            neighbor_chains = [
+                self.chains[u] for u in self.graphs.neighbors[v] if u in self.chains
+            ]
+            chain = _trimmed(
+                self.chains[v], self.graphs.trim(self.chains[v], neighbor_chains)
+            )
             self._release(v)
             self._claim(v, chain)
 
@@ -801,49 +947,47 @@ def unembed_sampleset(
     """Map physical samples back to logical variables.
 
     Broken chains (qubits disagreeing within one chain) are resolved by
-    majority vote by default, or discarded with ``method="discard"``.
-    The returned set's ``info["chain_break_fraction"]`` records how often
-    chains broke, a standard health metric for embedded problems.
+    majority vote by default, a tie going to the chain's first qubit in
+    sorted order, or their reads are discarded with
+    ``method="discard"``; any other method is a ``ValueError``.  The
+    returned set's ``info["chain_break_fraction"]`` records how often
+    chains broke, over every read, a standard health metric for embedded
+    problems.  Every chain's columns are gathered once and summed per
+    chain in ``int64``, so each step is one array pass over the reads.
     """
+    if method not in ("majority", "discard"):
+        raise ValueError(
+            f"unknown unembedding method {method!r}: use 'majority' or 'discard'"
+        )
     variables = list(logical_model.variables)
-    qubit_order = physical_samples.variables
-    qubit_index = {q: i for i, q in enumerate(qubit_order)}
-    chain_indices = {
-        v: [qubit_index[q] for q in sorted(embedding[v])] for v in variables
-    }
-
-    rows: List[List[int]] = []
-    occurrences: List[int] = []
-    breaks = 0
-    total_chains = 0
-    for i in range(len(physical_samples)):
-        record = physical_samples.records[i]
-        logical_row = []
-        broken = False
-        for v in variables:
-            spins = record[chain_indices[v]]
-            total = int(np.sum(spins))
-            total_chains += 1
-            if abs(total) != len(spins):
-                breaks += 1
-                broken = True
-            if total > 0:
-                logical_row.append(1)
-            elif total < 0:
-                logical_row.append(-1)
-            else:
-                logical_row.append(int(spins[0]))
-        if method == "discard" and broken:
-            continue
-        rows.append(logical_row)
-        occurrences.append(int(physical_samples.occurrences[i]))
+    qubit_index = {q: i for i, q in enumerate(physical_samples.variables)}
+    chains = []
+    for v in variables:
+        if not embedding[v]:
+            raise EmbeddingError(f"empty chain for {v!r}")
+        chains.append([qubit_index[q] for q in sorted(embedding[v])])
+    lengths = np.array([len(chain) for chain in chains], dtype=np.int64)
+    starts = np.zeros(len(chains), dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    columns = np.array([i for chain in chains for i in chain], dtype=np.intp)
+    spins = physical_samples.records[:, columns]
+    totals = np.add.reduceat(spins.astype(np.int64), starts, axis=1)
+    broken = np.abs(totals) != lengths
+    records = np.sign(totals).astype(np.int8, order="C")
+    ties = totals == 0
+    records[ties] = spins[:, starts][ties]
+    occurrences = physical_samples.occurrences
+    if method == "discard":
+        kept = ~broken.any(axis=1)
+        records, occurrences = records[kept], occurrences[kept]
 
     info = dict(physical_samples.info)
-    info["chain_break_fraction"] = breaks / total_chains if total_chains else 0.0
-    if not rows:
+    info["chain_break_fraction"] = (
+        int(np.count_nonzero(broken)) / broken.size if broken.size else 0.0
+    )
+    if not len(records):
         out = SampleSet.empty(variables)
         out.info = info
         return out
-    records = np.array(rows, dtype=np.int8)
     energies = logical_model.energies(records.astype(float), order=variables)
-    return SampleSet(variables, records, energies, np.array(occurrences), info)
+    return SampleSet(variables, records, energies, occurrences, info)

@@ -1,13 +1,18 @@
-"""The embedder's neighbour search: the native call against full scipy searches.
+"""The embedder's neighbour search: the native calls against scipy and Python.
 
 ``_SearchGraphs.search`` runs all of a variable's neighbour-chain
 searches in one native call, which pops each search in scipy's order and
-stops once no unknown node can beat the best total, or, where the native
-library cannot load, as full scipy searches.  Both must choose the root
-``np.argmin`` picks over the full totals, give the same predecessors
-along every path from it into a chain, and find no root exactly when no
-total is finite.  The scipy fallback's agreement rests on scipy's pop
-order, pinned here, and both paths read one noise draw, also pinned.
+stops once no unknown qubit can reach the best total, or, where the
+native library cannot load, as full scipy searches.  Both must choose
+the root ``np.argmin`` picks over the full totals, give the same
+predecessors along every path from it into a chain, and find no root
+exactly when no total is finite.  ``_SearchGraphs.grow`` takes the whole
+``embed_variable`` step in one native call -- the searches, the walks
+from the root and the trim of their union -- and must return the
+fallback's root, walks and removal order, from which the embedder builds
+the chain's set by the reference embedder's own set operations.  The
+scipy fallback's agreement rests on scipy's pop order, pinned here, and
+both paths read one noise draw, also pinned.
 """
 
 import functools
@@ -23,7 +28,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from repro.hardware import make_topology
 from repro.hardware.chimera import dropout
-from repro.hardware.embedding import _random_floats, _SearchGraphs
+from repro.hardware.embedding import _grown, _random_floats, _SearchGraphs
+from tests import embedding_reference
 from tests.conftest import require_native_tier
 
 
@@ -77,10 +83,17 @@ def _target(family: str, size: int, dead: float, seed: int) -> nx.Graph:
 def search_cases(draw):
     """A damaged target, usage 0-3, 1-8 connected chains that may share
     qubits, and a noise amplitude.  Some cases let usage reach 9, where
-    costs pass 2**53 and a sum can absorb a cost of 1."""
+    costs pass 2**53 and a sum can absorb a cost of 1, and some list the
+    target's qubits out of label order, so that label order and index
+    order differ."""
     family, size = draw(st.sampled_from(TOPOLOGIES))
     dead = draw(st.sampled_from([0.0, 0.05, 0.3, 0.6]))
     target = _target(family, size, dead, draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        shuffled = nx.Graph()
+        shuffled.add_nodes_from(draw(st.permutations(list(target.nodes()))))
+        shuffled.add_edges_from(target.edges())
+        target = shuffled
     nodes = list(target.nodes())
     n = len(nodes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -210,3 +223,180 @@ def test_no_root_when_no_qubit_reaches_every_chain(native_search):
     for search in (graphs.search, graphs._scipy_search):
         assert search(costs, [{0}, {5}], noise, 0.5)[0] == -1
         assert search(costs, [{0}, {2}], noise, 0.5)[0] in (0, 1, 2)
+
+
+# ----------------------------------------------------------------------
+# The one-call step against the fallback's search, walk and trim
+# ----------------------------------------------------------------------
+def _chain_as_built(target, root, parents, chains):
+    """The chain's set as the reference embedder builds it: the root,
+    each path's set joined in turn, then its trim's set copy and one
+    difference per removed qubit.  The set's iteration order is the
+    order ``embed_ising`` gives the chain's qubits."""
+    source = nx.Graph([("v", i) for i in range(len(chains))])
+    state = embedding_reference._EmbedderState(source, target, random.Random(0))
+    state.chains = dict(enumerate(chains))
+    chain = {state._nodes[root]}
+    for parent, neighbor_chain in zip(parents, chains):
+        chain |= state._path_to_chain(root, parent, neighbor_chain)
+    return state._trimmed("v", chain)
+
+
+def _assert_same_step(graphs, costs, chains, amplitude, noise):
+    """``grow`` against the scipy search, the Python walks and the Python
+    trim, and the chain it builds against the reference's set."""
+    root, walks, removed = graphs.grow(costs, chains, noise, amplitude)
+    expected_root, parents = graphs._scipy_search(costs, chains, noise, amplitude)
+    assert root == expected_root
+    if root < 0:
+        assert walks == [] and removed == []
+        return root, walks, removed
+    expected_walks = [
+        graphs._path_to_chain(root, parent, chain)
+        for parent, chain in zip(parents, chains)
+    ]
+    assert walks == expected_walks
+    union = {graphs.nodes[root]}.union(*walks)
+    assert removed == graphs._python_trim(union, chains)
+    chain = _grown(graphs.nodes[root], walks, removed)
+    assert list(chain) == list(_chain_as_built(graphs.target, root, parents, chains))
+    return root, walks, removed
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=search_cases())
+def test_one_call_step_matches_the_fallback(native_search, case):
+    target, usage, chains, amplitude, noise = case
+    graphs = _SearchGraphs(nx.Graph(), target)
+    assert graphs.search_name == "native"
+    costs = np.power(max(8.0, float(len(graphs.nodes))), usage.astype(float))
+    _assert_same_step(graphs, costs, chains, amplitude, noise)
+
+
+def _path_target(labels):
+    """A path through ``labels`` in order, its qubits listed in that
+    order."""
+    target = nx.Graph()
+    target.add_nodes_from(labels)
+    target.add_edges_from(zip(labels, labels[1:]))
+    return target
+
+
+# (edges, costs, chains, noise, root): amplitude 0, so totals are exact
+# small integers.  The path case's qubit 0 is known to search {0} only
+# when the best total is qubit 1's 2; its bound, 1 + 0 + 1, equals it,
+# and the search from {1} then finds it at total 2 too.  In the triangle,
+# qubit 2 totals 1 first; qubit 1, which no search has popped yet, is
+# bounded by the smallest cost plus the next distance, also 1.
+TIES = {
+    "partly-known": ([(0, 1), (1, 2)], [1.0, 1.0, 1.0], [{0}, {1}], [0.5, 0.5, 0.75], 0),
+    "never-popped": ([(0, 1), (0, 2), (1, 2)], [3.0, 1.0, 1.0], [{1, 2}], [0.75, 0.5, 0.5], 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TIES))
+def test_an_unknown_qubit_tying_the_best_total_wins_on_its_smaller_index(
+    native_search, case
+):
+    edges, costs, chains, noise, root = TIES[case]
+    graphs = _SearchGraphs(nx.Graph(), nx.Graph(edges))
+    costs, noise = np.array(costs), np.array(noise)
+    for search in (graphs.search, graphs._scipy_search):
+        assert search(costs, chains, noise, 0.0)[0] == root
+    assert _assert_same_step(graphs, costs, chains, 0.0, noise)[0] == root
+
+
+def test_the_bound_counts_amplitude_times_noise(native_search):
+    """On the path 0-1-3-2 from chains {0, 1} and {2}, qubits 3 and then
+    2 total 7.  Qubit 1, popped by the first search only, is bounded by
+    3 + 0 + 4 (the second search's next distance) plus 8 * 0.25: 9 with
+    the noise, which beats 7, but 7 without it, which would tie and keep
+    the searches going.  So the second search never relaxes qubit 0."""
+    graphs = _SearchGraphs(nx.Graph(), nx.Graph([(0, 1), (1, 3), (2, 3)]))
+    costs = np.array([3.0, 3.0, 1.0, 1.0])
+    noise = np.array([0.75, 0.25, 0.5, 0.5])
+    chains = [{0, 1}, {2}]
+    root, parents = graphs.search(costs, chains, noise, 8.0)
+    assert root == 2 and parents[1][0] == -9999
+    assert _assert_same_step(graphs, costs, chains, 8.0, noise)[0] == 2
+
+
+def test_root_inside_a_neighbour_chain_is_trimmed_away(native_search):
+    """On the path 0-4 every qubit totals 5 from chains {0} and {4}, so
+    the root is 0, inside the first chain: its walk is empty, the other
+    walk passes 0-3, and trimming removes 0, the only qubit neither a
+    cut qubit nor the last one beside a chain."""
+    graphs = _SearchGraphs(nx.Graph(), _path_target([0, 1, 2, 3, 4]))
+    costs, noise = np.ones(5), np.zeros(5)
+    step = _assert_same_step(graphs, costs, [{0}, {4}], 0.0, noise)
+    assert step == (0, [[], [0, 1, 2, 3]], [0])
+    assert _grown(0, step[1], step[2]) == {1, 2, 3}
+
+
+def test_trim_stops_at_once_when_a_halo_is_untouched(native_search):
+    """The chain 0-1-2 touches the halo of chain {3} at 2 but not that of
+    {5} (qubit 4 alone): it is not coupled to {5}, so trimming removes
+    nothing, where against {3} alone it removes 0 and then 1."""
+    graphs = _SearchGraphs(nx.Graph(), _path_target([0, 1, 2, 3, 4, 5]))
+    for trim in (graphs.trim, graphs._python_trim):
+        assert trim({0, 1, 2}, [{3}, {5}]) == []
+        assert trim({0, 1, 2}, [{3}]) == [0, 1]
+
+
+def test_trim_follows_label_order_not_index_order(native_search):
+    """The path 30-20-10-0, its qubits listed in that order (index order
+    the reverse of label order), trimmed against a chain beside 20: label
+    order removes 0, 10 and then 30, where index order would remove 30
+    first."""
+    labels = [30, 20, 10, 0]
+    target = _path_target(labels)
+    target.add_edge(20, 99)
+    graphs = _SearchGraphs(nx.Graph(), target)
+    for trim in (graphs.trim, graphs._python_trim):
+        assert trim(set(labels), [{99}]) == [0, 10, 30]
+
+
+@pytest.mark.parametrize("amplitude", [-8.0, -0.0 - 1e-300, float("nan"), float("inf")])
+def test_search_and_grow_reject_a_negative_or_nan_amplitude(amplitude):
+    graphs = _SearchGraphs(nx.Graph(), nx.path_graph(3))
+    for call in (graphs.search, graphs.grow):
+        with pytest.raises(ValueError, match="amplitude must be finite and non-negative"):
+            call(np.ones(3), [{0}], np.zeros(3), amplitude)
+
+
+def test_search_and_grow_reject_negative_or_nan_costs_and_noise():
+    graphs = _SearchGraphs(nx.Graph(), nx.path_graph(3))
+    ones = np.ones(3)
+    for costs, noise in (
+        (np.array([1.0, -1.0, 1.0]), ones),
+        (np.array([1.0, np.nan, 1.0]), ones),
+        (ones, np.array([0.5, -0.5, 0.5])),
+        (ones, np.array([np.nan, 0.5, 0.5])),
+    ):
+        for call in (graphs.search, graphs.grow, graphs._scipy_search):
+            with pytest.raises(ValueError, match="must be non-negative"):
+                call(costs, [{0}], noise, 0.5)
+
+
+def test_the_fallback_rejects_what_the_native_calls_reject(native_fallback):
+    graphs = _SearchGraphs(nx.Graph(), nx.path_graph(3))
+    assert graphs.search_name == "scipy"
+    for call in (graphs.search, graphs.grow):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            call(np.ones(3), [{0}], np.zeros(3), -8.0)
+        with pytest.raises(ValueError, match="must be non-negative"):
+            call(np.array([1.0, -1.0, 1.0]), [{0}], np.zeros(3), 0.5)
+
+
+def test_grow_finds_no_root_when_no_qubit_reaches_every_chain(native_search):
+    target = nx.Graph([(0, 1), (1, 2), (3, 4), (4, 5)])
+    graphs = _SearchGraphs(nx.Graph(), target)
+    assert graphs.grow(np.ones(6), [{0}, {5}], np.zeros(6), 0.5) == (-1, [], [])
+
+
+def test_labels_with_no_one_order_search_on_the_fallback():
+    """A rank needs every label comparable; without one the graph trims
+    in Python, which sorts each chain on its own, and searches on scipy."""
+    graphs = _SearchGraphs(nx.Graph(), nx.Graph([(0, "a"), ("a", 1)]))
+    assert graphs.search_name == "scipy"
+    assert graphs.grow(np.ones(3), [{0}], np.zeros(3), 0.5) == (0, [[]], [])
