@@ -53,6 +53,7 @@ _SIGNATURES = {
     "repro_trim_chain": (
         _I64, (_I64, _PTR, _PTR, _PTR, _I64, _PTR, _PTR, _I64, _PTR, _PTR)
     ),
+    "repro_random_floats": (None, (_I64, _PTR, _PTR)),
 }
 
 _lock = threading.Lock()

@@ -16,25 +16,35 @@
  * np.argmin picks.  The library is built with -ffp-contract=off, so the
  * last product and sum are not fused.
  *
- * Each search has its own heap, and the searches advance in lockstep:
+ * Each search has its own queue, and the searches advance in lockstep:
  * the next pop is the earliest head by (distance, larger node first,
- * search).  Costs are non-negative node weights, so a node's first
- * relaxation is final and a search pushes each node at most once: a
- * heap never holds more than n entries.  A node's total is known once
- * every search has popped it.  Until then its total is at least its
- * bound: its cost, plus each search's distance where that search has
- * popped it or else that search's next distance, plus amplitude * noise,
- * summed in the totals' order.  Every term is non-negative and rounding
- * keeps such a sum monotone, so no total is below its bound.  A node
- * whose bound exceeds the best total, or equals it at a larger index
- * than the root's, cannot be the root, and it stays beaten: next
- * distances only rise and the best total only falls.  The loop stops
- * once every node that is not known is beaten.  The nodes no search has
- * popped share one bound, the smallest cost plus every next distance,
- * checked before each pop; the partly known ones wait in a list that is
- * rescanned, and pruned, at most once per SCAN_EVERY pops.  No distance
- * above the best total is pushed either: no node on a path from the root
- * into a chain lies that far out.
+ * search), and one search keeps popping while its head stays ahead of
+ * every other search's.  Costs are non-negative node weights, so a
+ * node's first relaxation is final and a search pushes each node at
+ * most once.  A queue keeps the entries at its two smallest level
+ * distances as node bitsets, popped largest node first, and every other
+ * entry in a binary heap of at most n entries.  The levels follow the
+ * pops: level 0 sits at the distance last popped and level 1 one
+ * smallest cost above it, where a push through a node of the smallest
+ * cost -- a free qubit in the embedder -- lands; a push at either
+ * distance joins its bitset, and any other push goes to the heap.  Since
+ * one search never holds two entries with the same distance and node,
+ * the order is strict and the queue pops exactly the heap's sequence.
+ *
+ * A node's total is known once every search has popped it.  Until then
+ * its total is at least its bound: its cost, plus each search's distance
+ * where that search has popped it or else that search's next distance,
+ * plus amplitude * noise, summed in the totals' order.  Every term is
+ * non-negative and rounding keeps such a sum monotone, so no total is
+ * below its bound.  A node whose bound exceeds the best total, or equals
+ * it at a larger index than the root's, cannot be the root, and it stays
+ * beaten: next distances only rise and the best total only falls.  The
+ * loop stops once every node that is not known is beaten.  The nodes no
+ * search has popped share one bound, the smallest cost plus every next
+ * distance, checked before each pop; the partly known ones wait in a
+ * list that is rescanned, and pruned, at most once per SCAN_EVERY pops.
+ * No distance above the best total is pushed either: no node on a path
+ * from the root into a chain lies that far out.
  *
  * The walks and the trim are _EmbedderState's.  A walk runs from the
  * root along its search's predecessors and lists the nodes it passes
@@ -60,15 +70,19 @@
 #define BAD_INPUT (-3)
 #define NO_MEMORY (-2)
 
-/* A heap entry as two words: hi holds the distance's bits, and lo the
+/* A queue entry as two words: hi holds the distance's bits, and lo the
  * node's complement above the search.  Pushed distances are finite and
  * non-negative, so their bits order as the doubles do, and one unsigned
- * comparison of (hi, lo) gives the heap order: distance ascending, then
+ * comparison of (hi, lo) gives the queue order: distance ascending, then
  * the larger node, then the earlier search. */
 typedef struct {
     uint64_t hi;
     uint64_t lo;
 } entry;
+
+/* The head of an empty queue: the bits of INFINITY exceed those of
+ * every finite distance, so it comes after every entry. */
+static const entry NO_ENTRY = {UINT64_C(0x7ff0000000000000), UINT64_MAX};
 
 static entry make_entry(double dist, int64_t node, int64_t search)
 {
@@ -85,6 +99,11 @@ static double entry_dist(const entry *e)
     return dist;
 }
 
+static int64_t entry_node(const entry *e)
+{
+    return (uint32_t)~(uint32_t)(e->lo >> 32);
+}
+
 /* (a.hi, a.lo) < (b.hi, b.lo) without a branch: the borrow of the low
  * words joins the high ones.  b.hi + 1 cannot wrap, as the bits of a
  * non-negative double are below 2**63. */
@@ -93,7 +112,7 @@ static int earlier(const entry *a, const entry *b)
     return a->hi < b->hi + (a->lo < b->lo);
 }
 
-static void push(entry *heap, int64_t *size, entry item)
+static void heap_push(entry *heap, int64_t *size, entry item)
 {
     int64_t at = (*size)++;
     while (at > 0) {
@@ -107,9 +126,8 @@ static void push(entry *heap, int64_t *size, entry item)
     heap[at] = item;
 }
 
-static entry pop(entry *heap, int64_t *size)
+static void heap_pop(entry *heap, int64_t *size)
 {
-    const entry top = heap[0];
     const entry last = heap[--*size];
     int64_t at = 0;
     for (;;) {
@@ -127,7 +145,120 @@ static entry pop(entry *heap, int64_t *size)
         at = child;
     }
     heap[at] = last;
-    return top;
+}
+
+/* The index of the highest set bit of a non-zero word. */
+static int64_t highest_bit(uint64_t word)
+{
+#if defined(__GNUC__)
+    return 63 - __builtin_clzll(word);
+#else
+    int64_t bit = 0;
+    while (word >>= 1) {
+        ++bit;
+    }
+    return bit;
+#endif
+}
+
+/* A search's pending nodes at one distance, as a bitset. */
+typedef struct {
+    double dist;
+    uint64_t *bits;
+    int64_t count;
+    int64_t top;     /* while count > 0, no set bit lies above this word */
+} level;
+
+static void level_add(level *l, int64_t node)
+{
+    const int64_t word = node >> 6;
+    l->bits[word] |= (uint64_t)1 << (node & 63);
+    if (l->count++ == 0 || word > l->top) {
+        l->top = word;
+    }
+}
+
+/* The largest node of a non-empty level. */
+static int64_t level_largest(level *l)
+{
+    while (l->bits[l->top] == 0) {
+        --l->top;
+    }
+    return l->top * 64 + highest_bit(l->bits[l->top]);
+}
+
+/* One search's pending entries.  levels[0].dist <= levels[1].dist, so
+ * level 0's entries come before level 1's, and level 1 is empty whenever
+ * the two distances are equal: a push checks level 0 first. */
+typedef struct {
+    level levels[2];
+    entry *heap;     /* n entries */
+    int64_t size;
+    entry head;      /* the earliest entry, or NO_ENTRY */
+    int from;        /* where head sits: level 0 or 1, HEAP or NOWHERE */
+} queue;
+
+#define HEAP 2
+#define NOWHERE (-1)
+
+static void queue_push(queue *q, double dist, int64_t node, int64_t search)
+{
+    if (dist == q->levels[0].dist) {
+        level_add(&q->levels[0], node);
+    } else if (dist == q->levels[1].dist) {
+        level_add(&q->levels[1], node);
+    } else {
+        heap_push(q->heap, &q->size, make_entry(dist, node, search));
+    }
+}
+
+/* Points head at the earliest of the heap's top and the first non-empty
+ * level's largest node. */
+static void find_head(queue *q, int64_t search)
+{
+    q->head = NO_ENTRY;
+    q->from = NOWHERE;
+    if (q->size > 0) {
+        q->head = q->heap[0];
+        q->from = HEAP;
+    }
+    for (int j = 0; j < 2; ++j) {
+        level *l = &q->levels[j];
+        if (l->count > 0) {
+            const entry e = make_entry(l->dist, level_largest(l), search);
+            if (earlier(&e, &q->head)) {
+                q->head = e;
+                q->from = j;
+            }
+            break;
+        }
+    }
+}
+
+/* Removes the head, whose distance du becomes level 0's once level 0 is
+ * empty: level 1 moves down when it sits at du, or else stays, and a
+ * level 1 that is empty or moved down is placed at du + cheapest. */
+static void queue_pop(queue *q, double cheapest)
+{
+    const double du = entry_dist(&q->head);
+    if (q->from == HEAP) {
+        heap_pop(q->heap, &q->size);
+    } else {
+        level *l = &q->levels[q->from];
+        const int64_t node = entry_node(&q->head);
+        l->bits[node >> 6] &= ~((uint64_t)1 << (node & 63));
+        --l->count;
+    }
+    level *levels = q->levels;
+    if (levels[0].count == 0 && du != levels[0].dist) {
+        if (levels[1].count == 0 || du == levels[1].dist) {
+            const level emptied = levels[0];
+            levels[0] = levels[1];
+            levels[1] = emptied;
+            levels[1].dist = du + cheapest;
+        }
+        levels[0].dist = du;
+    }
 }
 
 /* The searches of one call and their workspace. */
@@ -141,20 +272,23 @@ typedef struct {
     double amplitude;
     int32_t *pred;           /* (num_searches, n) */
     double *dist;            /* (num_searches, n) */
-    unsigned char *popped;   /* (num_searches, n), zeroed */
     int32_t *known;          /* n, zeroed: how many searches popped each node */
+    queue *queues;           /* num_searches */
     entry *heaps;            /* (num_searches, n) */
-    int64_t *sizes;          /* num_searches */
+    uint64_t *bits;          /* (num_searches, 2, words), zeroed */
     int32_t *partial;        /* n: nodes some but not every search popped */
 } searches;
 
 static double next_dist(const searches *s, int64_t k)
 {
-    return s->sizes[k] > 0 ? entry_dist(&s->heaps[k * s->n]) : INFINITY;
+    return entry_dist(&s->queues[k].head);
 }
 
 /* Keeps the listed partly known nodes that are still neither known nor
- * beaten; returns how many it kept. */
+ * beaten; returns how many it kept.  A search's term of a bound is its
+ * distance where it has popped the node and else its next distance,
+ * which is the smaller of the two: a popped node lies at or below the
+ * next distance, and a pending or unreached one at or above it. */
 static int64_t rescan(const searches *s, int64_t count, double best, int64_t root)
 {
     const int64_t n = s->n;
@@ -166,7 +300,9 @@ static int64_t rescan(const searches *s, int64_t count, double best, int64_t roo
         }
         double bound = s->cost[u];
         for (int64_t k = 0; k < s->num_searches; ++k) {
-            bound = bound + (s->popped[k * n + u] ? s->dist[k * n + u] : next_dist(s, k));
+            const double dist = s->dist[k * n + u];
+            const double next = next_dist(s, k);
+            bound = bound + (dist < next ? dist : next);
         }
         bound = bound + s->amplitude * s->noise[u];
         if (!(bound > best || (bound == best && u > root))) {
@@ -176,12 +312,24 @@ static int64_t rescan(const searches *s, int64_t count, double best, int64_t roo
     return kept;
 }
 
+/* The bound of every node no search has popped: the smallest cost plus
+ * every next distance. */
+static double unseen_bound(const searches *s, double cheapest)
+{
+    double bound = cheapest;
+    for (int64_t k = 0; k < s->num_searches; ++k) {
+        bound = bound + next_dist(s, k);
+    }
+    return bound;
+}
+
 /* Runs the searches from each chain (starts, sources) until the root is
  * certain; returns it, -1 when no total is finite, or BAD_INPUT. */
 static int64_t run(searches *s, const int64_t *starts, const int64_t *sources)
 {
     const int64_t n = s->n;
     const int64_t num_searches = s->num_searches;
+    const int64_t words = (n + 63) / 64;
     double cheapest = INFINITY;
     for (int64_t i = 0; i < n; ++i) {
         if (!(s->cost[i] >= 0.0) || !(s->noise[i] >= 0.0)) {
@@ -196,14 +344,24 @@ static int64_t run(searches *s, const int64_t *starts, const int64_t *sources)
         s->pred[i] = NO_PREDECESSOR;
     }
     for (int64_t k = 0; k < num_searches; ++k) {
-        s->sizes[k] = 0;
+        queue *q = &s->queues[k];
+        for (int j = 0; j < 2; ++j) {
+            q->levels[j].bits = s->bits + (2 * k + j) * words;
+            q->levels[j].count = 0;
+            q->levels[j].top = 0;
+        }
+        q->levels[0].dist = 0.0;
+        q->levels[1].dist = cheapest;
+        q->heap = s->heaps + k * n;
+        q->size = 0;
         for (int64_t p = starts[k]; p < starts[k + 1]; ++p) {
             const int64_t source = sources[p];
             if (s->dist[k * n + source] != 0.0) {
                 s->dist[k * n + source] = 0.0;
-                push(s->heaps + k * n, &s->sizes[k], make_entry(0.0, source, k));
+                queue_push(q, 0.0, source, k);
             }
         }
+        find_head(q, k);
     }
     double best = INFINITY;
     int64_t root = -1;
@@ -211,58 +369,67 @@ static int64_t run(searches *s, const int64_t *starts, const int64_t *sources)
     int64_t pops = 0;
     int64_t scan_at = 0;
     for (;;) {
-        /* The search to pop next, and the bound of every node that no
-         * search has popped. */
-        int64_t k = -1;
-        double unseen = cheapest;
-        for (int64_t j = 0; j < num_searches; ++j) {
-            unseen = unseen + next_dist(s, j);
-            if (s->sizes[j] > 0 && (k < 0 || earlier(&s->heaps[j * n], &s->heaps[k * n]))) {
+        /* The search to pop next, and the earliest head of the others. */
+        int64_t k = 0;
+        entry runner_up = NO_ENTRY;
+        for (int64_t j = 1; j < num_searches; ++j) {
+            const entry *head = &s->queues[j].head;
+            if (earlier(head, &s->queues[k].head)) {
+                runner_up = s->queues[k].head;
                 k = j;
+            } else if (earlier(head, &runner_up)) {
+                runner_up = *head;
             }
         }
-        if (k < 0 || entry_dist(&s->heaps[k * n]) > best) {
-            break; /* every unknown node lies beyond the best total */
-        }
-        if ((unseen > best || (unseen == best && root < 0))
-            && (num_partial == 0 || pops >= scan_at)) {
-            num_partial = rescan(s, num_partial, best, root);
-            if (num_partial == 0) {
-                break;
+        queue *q = &s->queues[k];
+        double unseen = unseen_bound(s, cheapest);
+        /* Search k pops until another search's head comes first. */
+        do {
+            const double du = entry_dist(&q->head);
+            if (q->from == NOWHERE || du > best) {
+                return root; /* every unknown node lies beyond the best total */
             }
-            scan_at = pops + SCAN_EVERY;
-        }
-        const entry top = pop(s->heaps + k * n, &s->sizes[k]);
-        ++pops;
-        const double du = entry_dist(&top);
-        const int64_t u = (uint32_t)~(uint32_t)(top.lo >> 32);
-        s->popped[k * n + u] = 1;
-        const int32_t seen = ++s->known[u];
-        if (seen == num_searches) {
-            double total = s->cost[u];
-            for (int64_t j = 0; j < num_searches; ++j) {
-                total = total + s->dist[j * n + u];
+            if ((unseen > best || (unseen == best && root < 0))
+                && (num_partial == 0 || pops >= scan_at)) {
+                num_partial = rescan(s, num_partial, best, root);
+                if (num_partial == 0) {
+                    return root;
+                }
+                scan_at = pops + SCAN_EVERY;
             }
-            total = total + s->amplitude * s->noise[u];
-            if (total < best || (total == best && u < root)) {
-                best = total;
-                root = u;
+            const int64_t u = entry_node(&q->head);
+            queue_pop(q, cheapest);
+            ++pops;
+            const int32_t seen = ++s->known[u];
+            if (seen == num_searches) {
+                double total = s->cost[u];
+                for (int64_t j = 0; j < num_searches; ++j) {
+                    total = total + s->dist[j * n + u];
+                }
+                total = total + s->amplitude * s->noise[u];
+                if (total < best || (total == best && u < root)) {
+                    best = total;
+                    root = u;
+                }
+            } else if (seen == 1) {
+                s->partial[num_partial++] = (int32_t)u;
             }
-        } else if (seen == 1) {
-            s->partial[num_partial++] = (int32_t)u;
-        }
-        double *d = s->dist + k * n;
-        for (int64_t p = s->indptr[u]; p < s->indptr[u + 1]; ++p) {
-            const int64_t v = s->indices[p];
-            const double next = du + s->cost[v];
-            if (next < d[v] && !(next > best)) {
-                d[v] = next;
-                s->pred[k * n + v] = (int32_t)u;
-                push(s->heaps + k * n, &s->sizes[k], make_entry(next, v, k));
+            double *d = s->dist + k * n;
+            for (int64_t p = s->indptr[u]; p < s->indptr[u + 1]; ++p) {
+                const int64_t v = s->indices[p];
+                const double next = du + s->cost[v];
+                if (next < d[v] && !(next > best)) {
+                    d[v] = next;
+                    s->pred[k * n + v] = (int32_t)u;
+                    queue_push(q, next, v, k);
+                }
             }
-        }
+            find_head(q, k);
+            if (entry_dist(&q->head) != du) {
+                unseen = unseen_bound(s, cheapest);
+            }
+        } while (earlier(&q->head, &runner_up));
     }
-    return root;
 }
 
 /* Allocates the searches' workspace around the caller's pred (or its
@@ -276,20 +443,22 @@ static int64_t run_searches(
     int32_t *pred, int32_t **own_pred)
 {
     const size_t cells = (size_t)(num_searches * n);
+    const size_t words = (size_t)((n + 63) / 64);
     searches s = {
         .n = n, .indptr = indptr, .indices = indices, .cost = cost,
         .num_searches = num_searches, .noise = noise, .amplitude = amplitude,
         .pred = pred != NULL ? pred : malloc(cells * sizeof(int32_t)),
         .dist = malloc(cells * sizeof(double)),
-        .popped = calloc(cells, 1),
         .known = calloc((size_t)n, sizeof(int32_t)),
+        .queues = malloc((size_t)num_searches * sizeof(queue)),
         .heaps = malloc(cells * sizeof(entry)),
-        .sizes = malloc((size_t)num_searches * sizeof(int64_t)),
+        .bits = calloc(2 * (size_t)num_searches * words, sizeof(uint64_t)),
         .partial = malloc((size_t)n * sizeof(int32_t)),
     };
     int64_t root = NO_MEMORY;
-    if (s.pred != NULL && s.dist != NULL && s.popped != NULL && s.known != NULL
-        && s.heaps != NULL && s.sizes != NULL && s.partial != NULL) {
+    if (s.pred != NULL && s.dist != NULL && s.known != NULL
+        && s.queues != NULL && s.heaps != NULL && s.bits != NULL
+        && s.partial != NULL) {
         root = run(&s, starts, sources);
     }
     if (pred == NULL) {
@@ -300,10 +469,10 @@ static int64_t run_searches(
         }
     }
     free(s.dist);
-    free(s.popped);
     free(s.known);
+    free(s.queues);
     free(s.heaps);
-    free(s.sizes);
+    free(s.bits);
     free(s.partial);
     return root;
 }
@@ -563,4 +732,23 @@ int64_t repro_trim_chain(
                                size, chain, removed);
     free(member);
     return count;
+}
+
+/* The floats random.random() draws, from the bytes of Python's
+ * getrandbits(64 * n).to_bytes(8 * n, "little"): each float takes two
+ * little-endian 32-bit words a and b, in that order, as
+ * ((a >> 5) * 2**26 + (b >> 6)) / 2**53, every step exact. */
+void repro_random_floats(
+    int64_t n,
+    const unsigned char *restrict bytes, /* 8 * n */
+    double *restrict out)                /* n, written */
+{
+    for (int64_t i = 0; i < n; ++i) {
+        const unsigned char *p = bytes + 8 * i;
+        const uint32_t a = (uint32_t)p[0] | (uint32_t)p[1] << 8
+                           | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
+        const uint32_t b = (uint32_t)p[4] | (uint32_t)p[5] << 8
+                           | (uint32_t)p[6] << 16 | (uint32_t)p[7] << 24;
+        out[i] = ((double)(a >> 5) * 67108864.0 + (double)(b >> 6)) / 9007199254740992.0;
+    }
 }

@@ -26,9 +26,11 @@ import random
 import time
 import weakref
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     FrozenSet,
     Hashable,
@@ -212,6 +214,8 @@ class _SearchGraphs:
         self._searches = native.function("repro_chain_searches")
         self._grow = native.function("repro_grow_chain")
         self._trim = native.function("repro_trim_chain")
+        #: Forms the noise floats from their bytes in C (None: numpy).
+        self.floats = native.function("repro_random_floats")
         self.rank = np.empty(n, dtype=np.int32)
         try:
             self.rank[sorted(range(n), key=self.nodes.__getitem__)] = np.arange(n)
@@ -221,6 +225,17 @@ class _SearchGraphs:
             self._searches = self._grow = self._trim = None
         self.search_name = "scipy" if self._grow is None else "native"
         self._scipy_graph = None
+        #: The ``embed_variable`` calls that ran a search, over every
+        #: restart that shares these graphs.
+        self.steps = 0
+        # The native step's output buffers, grown to the most chains
+        # seen, and the addresses of the arrays every call passes.
+        self._out = np.empty(0, dtype=np.int32)
+        self._counts = np.empty(0, dtype=np.int64)
+        self._graph_args = (
+            n, self.indptr.ctypes.data, self.indices.ctypes.data
+        )
+        self._rank_address = self.rank.ctypes.data
 
     def grow(
         self,
@@ -240,6 +255,27 @@ class _SearchGraphs:
         lists ``embed_variable`` replays to build the chain's set.
         """
         costs, noise = self._checked(costs, chains, noise, amplitude)
+        return self.step(
+            costs, chains, [self.members(chain) for chain in chains], noise, amplitude
+        )
+
+    def step(
+        self,
+        costs: np.ndarray,
+        chains: List[Set[Qubit]],
+        members: List[np.ndarray],
+        noise: np.ndarray,
+        amplitude: float,
+    ) -> Tuple[int, List[List[Qubit]], List[Qubit]]:
+        """:meth:`grow` on arrays the embedder owns, unchecked and
+        uncopied.
+
+        ``costs`` and ``noise`` are C-contiguous float64 arrays of the
+        target's size, each of ``chains`` is non-empty, ``members`` holds
+        each chain's qubit indices (:meth:`members`, in any order) and
+        ``amplitude`` is finite and non-negative.  The native call still
+        rejects a negative or NaN cost or noise value.
+        """
         if self._grow is None:
             root, parents = self._scipy_search(costs, chains, noise, amplitude)
             if root < 0:
@@ -251,20 +287,23 @@ class _SearchGraphs:
             union = {self.nodes[root]}.union(*walks)
             return root, walks, self._python_trim(union, chains)
         n = len(self.nodes)
-        starts, sources = self._sources(chains)
-        out = np.empty((len(chains) + 1) * n, dtype=np.int32)
-        counts = np.empty(len(chains) + 1, dtype=np.int64)
+        size = (len(members) + 1) * n
+        if len(self._out) < size:
+            self._out = np.empty(size, dtype=np.int32)
+            self._counts = np.empty(len(members) + 1, dtype=np.int64)
+        out, counts = self._out, self._counts
+        starts, sources = self._sources(members)
         root = self._grow(
-            n, self.indptr.ctypes.data, self.indices.ctypes.data,
-            costs.ctypes.data, len(chains), starts.ctypes.data,
-            sources.ctypes.data, noise.ctypes.data, amplitude,
-            self.rank.ctypes.data, out.ctypes.data, counts.ctypes.data,
+            *self._graph_args, costs.ctypes.data, len(members), starts.ctypes.data,
+            sources.ctypes.data, noise.ctypes.data, amplitude, self._rank_address,
+            out.ctypes.data, counts.ctypes.data,
         )
         _raise_for_status(root)
         if root < 0:
             return root, [], []
-        lengths = counts.tolist()
-        qubits = [self.nodes[i] for i in out[: sum(lengths)].tolist()]
+        lengths = counts[: len(members) + 1].tolist()
+        nodes = self.nodes
+        qubits = [nodes[i] for i in out[: sum(lengths)].tolist()]
         walks = []
         at = 0
         for length in lengths[:-1]:
@@ -296,7 +335,7 @@ class _SearchGraphs:
         if self._searches is None:
             return self._scipy_search(costs, chains, noise, amplitude)
         n = len(self.nodes)
-        starts, sources = self._sources(chains)
+        starts, sources = self._sources([self.members(chain) for chain in chains])
         parents = np.empty((len(chains), n), dtype=np.int32)
         root = self._searches(
             n, self.indptr.ctypes.data, self.indices.ctypes.data,
@@ -321,10 +360,10 @@ class _SearchGraphs:
             return []
         if self._trim is None:
             return self._python_trim(chain, neighbor_chains)
-        starts, sources = self._sources(neighbor_chains)
-        members = np.fromiter(
-            (self.index[q] for q in chain), dtype=np.int32, count=len(chain)
+        starts, sources = self._sources(
+            [self.members(neighbor_chain) for neighbor_chain in neighbor_chains]
         )
+        members = self.members(chain).astype(np.int32)
         removed = np.empty(len(chain), dtype=np.int32)
         count = self._trim(
             len(self.nodes), self.indptr.ctypes.data, self.indices.ctypes.data,
@@ -349,14 +388,18 @@ class _SearchGraphs:
             )
         return costs, noise
 
-    def _sources(self, chains: List[Set[Qubit]]) -> Tuple[np.ndarray, np.ndarray]:
+    def members(self, chain: Set[Qubit]) -> np.ndarray:
+        """The qubit indices of ``chain``, in its iteration order."""
+        return np.fromiter(
+            map(self.index.__getitem__, chain), dtype=np.int64, count=len(chain)
+        )
+
+    @staticmethod
+    def _sources(members: List[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
         """Each chain's offset into the sources, and every chain's qubit
         indices, chain after chain."""
-        sources = np.fromiter(
-            (self.index[q] for chain in chains for q in chain), dtype=np.int64
-        )
-        starts = np.zeros(len(chains) + 1, dtype=np.int64)
-        np.cumsum([len(chain) for chain in chains], out=starts[1:])
+        starts = np.array([0, *accumulate(map(len, members))], dtype=np.int64)
+        sources = np.concatenate(members) if members else np.empty(0, np.int64)
         return starts, sources
 
     def _scipy_search(self, costs, chains, noise, amplitude):
@@ -517,7 +560,9 @@ def _trimmed(chain: Set[Qubit], removed: Sequence[Qubit]) -> Set[Qubit]:
     return chain
 
 
-def _random_floats(rng: random.Random, n: int) -> np.ndarray:
+def _random_floats(
+    rng: random.Random, n: int, convert: Optional[Callable[..., None]] = None
+) -> np.ndarray:
     """``[rng.random() for _ in range(n)]`` as an array, from one draw.
 
     ``random()`` builds each float from two 32-bit Mersenne Twister
@@ -525,10 +570,17 @@ def _random_floats(rng: random.Random, n: int) -> np.ndarray:
     One ``getrandbits(64 * n)`` call consumes the same ``2n`` outputs,
     least significant word first, and leaves the generator in the same
     state, so the floats and every later draw are bit for bit the same.
+    ``convert``, the native ``repro_random_floats``
+    (:attr:`_SearchGraphs.floats`), forms the floats from the draw's
+    bytes in C; without it numpy does, with the same bits, as every step
+    is exact.
     """
-    words = np.frombuffer(
-        rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4"
-    )
+    data = rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+    if convert is not None:
+        floats = np.empty(n)
+        convert(n, data, floats.ctypes.data)
+        return floats
+    words = np.frombuffer(data, dtype="<u4")
     return ((words[0::2] >> 5) * 67108864.0 + (words[1::2] >> 6)) / 9007199254740992.0
 
 
@@ -536,19 +588,21 @@ class _EmbedderState:
     """One attempt at embedding a source graph into a target graph.
 
     Each variable's shortest paths, walks and trim run in one call,
-    :meth:`_SearchGraphs.grow`, over a directed adjacency whose edge
+    :meth:`_SearchGraphs.step`, over a directed adjacency whose edge
     weight into a node is that node's usage cost, so a full-C16 search
     stays fast enough for the 25-compilation sweep of Section 6.1.
-    Chains are sets of qubit labels.  The searches ignore their
-    iteration order, as both pop equal distances larger index first
-    whatever the order of their sources, but ``embed_ising`` follows it,
-    so each chain's set is built by the same operations as always.
+    Chains are sets of qubit labels, each kept beside its qubit indices
+    (``members``).  The searches ignore the sets' iteration order, as
+    both pop equal distances larger index first whatever the order of
+    their sources, but ``embed_ising`` follows it, so each chain's set is
+    built by the same operations as always.
     """
 
     def __init__(self, graphs: _SearchGraphs, rng: random.Random):
         self.graphs = graphs
         self.rng = rng
         self.chains: Dict[Variable, Set[Qubit]] = {}
+        self.members: Dict[Variable, np.ndarray] = {}
         # Exponential overlap penalty base.  Sharing one qubit must cost
         # more than any detour through free qubits, and detours can be
         # as long as the target's diameter times the source degree, so
@@ -557,22 +611,33 @@ class _EmbedderState:
         #: Root-selection noise amplitude (breaks deterministic cycles).
         self._noise = 0.5
         self._nodes = graphs.nodes
-        self._index = graphs.index
         self._n = len(graphs.nodes)
         self.usage = np.zeros(self._n, dtype=np.int32)
+        # No qubit is in more chains than there are variables, so these
+        # powers cover every usage; np.power works element by element,
+        # so a table entry has the bits np.power(penalty_base, usage)
+        # gives that qubit.
+        self._powers = np.power(
+            self.penalty_base, np.arange(len(graphs.variables) + 1, dtype=float)
+        )
+        #: ``penalty_base ** usage``, updated at the qubits each claim and
+        #: release touches.
+        self.costs = self._powers[self.usage]
 
     # -- chain bookkeeping ------------------------------------------------
     def _claim(self, v: Variable, chain: Set[Qubit]) -> None:
         self.chains[v] = chain
-        for q in chain:
-            self.usage[self._index[q]] += 1
+        members = self.members[v] = self.graphs.members(chain)
+        self._count(members, 1)
 
     def _release(self, v: Variable) -> None:
-        for q in self.chains.pop(v, ()):  # pragma: no branch
-            self.usage[self._index[q]] -= 1
+        if self.chains.pop(v, None) is not None:
+            self._count(self.members.pop(v), -1)
 
-    def _cost_vector(self) -> np.ndarray:
-        return np.power(self.penalty_base, self.usage.astype(float))
+    def _count(self, members: np.ndarray, change: int) -> None:
+        usage = self.usage[members] + change
+        self.usage[members] = usage
+        self.costs[members] = self._powers[usage]
 
     # -- embedding a single variable ---------------------------------------
     def embed_variable(self, v: Variable) -> None:
@@ -583,14 +648,19 @@ class _EmbedderState:
             q = self._cheapest_free_qubit()
             self._claim(v, {q})
             return
+        graphs = self.graphs
+        graphs.steps += 1
         # Random noise breaks root ties and the cycles a fully
         # deterministic improvement sweep can fall into.  It is drawn
         # before the searches; when no root exists the error below ends
         # the restart, whose generator is then discarded.
-        noise = _random_floats(self.rng, self._n)
-        chains = [self.chains[u] for u in embedded_neighbors]
-        root, walks, removed = self.graphs.grow(
-            self._cost_vector(), chains, noise, self._noise
+        noise = _random_floats(self.rng, self._n, graphs.floats)
+        root, walks, removed = graphs.step(
+            self.costs,
+            [self.chains[u] for u in embedded_neighbors],
+            [self.members[u] for u in embedded_neighbors],
+            noise,
+            self._noise,
         )
         if root < 0:
             raise EmbeddingError(f"variable {v!r} cannot reach its neighbors")
@@ -747,17 +817,25 @@ def find_embedding(
         tries: independent randomized restarts per attempt.
         rounds: improvement rounds per restart (first attempt).
         max_attempts: escalation attempts (1 = the classic behavior).
-        stats: optional dict populated with ``attempts`` (attempts used)
-            and ``restarts`` (total restarts) on success.
+        stats: optional dict populated on success with ``attempts``
+            (attempts used), ``restarts`` (total restarts) and ``steps``
+            (the ``embed_variable`` calls that ran a search, over every
+            restart).
 
     Raises:
+        ValueError: if ``tries`` or ``max_attempts`` is below 1 or
+            ``rounds`` below 0, before any work.
         EmbeddingError: if no valid embedding is found.
     """
+    if tries < 1:
+        raise ValueError(f"tries must be >= 1, got {tries!r}")
+    if rounds < 0:
+        raise ValueError(f"rounds must be >= 0, got {rounds!r}")
     if max_attempts < 1:
         raise ValueError("max_attempts must be >= 1")
     if len(source) == 0:
         if stats is not None:
-            stats.update(attempts=0, restarts=0)
+            stats.update(attempts=0, restarts=0, steps=0)
         return Embedding({})
     if len(source) > len(target):
         raise EmbeddingError(
@@ -784,12 +862,13 @@ def find_embedding(
                 continue
             if embedding is not None:
                 if stats is not None:
-                    stats.update(attempts=attempt, restarts=restarts)
+                    stats.update(attempts=attempt, restarts=restarts, steps=graphs.steps)
                 _observe_embedding(
                     embedding,
                     time.perf_counter() - started,
                     attempts=attempt,
                     restarts=restarts,
+                    steps=graphs.steps,
                     source_size=len(source),
                     target_size=len(target),
                     search=graphs.search_name,
@@ -815,7 +894,9 @@ def _observe_embedding(
     """Record a successful embedding search on the ambient collectors.
 
     The span's ``search`` attribute names the neighbour search that ran,
-    ``"native"`` or ``"scipy"``.
+    ``"native"`` or ``"scipy"``, and ``steps`` counts the
+    ``embed_variable`` calls that ran one, so the span's duration over
+    ``steps`` is the cost of a step.
     """
     if not trace.enabled():
         return

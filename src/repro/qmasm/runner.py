@@ -421,7 +421,7 @@ class FindEmbeddingStage(Stage):
         if embedding is not None:
             context.mark_cached()
             artifact.info["embedding_cache"] = "hit"
-            context.add_counters(attempts=0, restarts=0)
+            context.add_counters(attempts=0, restarts=0, steps=0)
         else:
             estats: Dict[str, float] = {}
             embedding = find_embedding(

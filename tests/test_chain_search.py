@@ -26,9 +26,15 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from repro.core import native
 from repro.hardware import make_topology
 from repro.hardware.chimera import dropout
-from repro.hardware.embedding import _grown, _random_floats, _SearchGraphs
+from repro.hardware.embedding import (
+    _EmbedderState,
+    _grown,
+    _random_floats,
+    _SearchGraphs,
+)
 from tests import embedding_reference
 from tests.conftest import require_native_tier
 
@@ -58,14 +64,21 @@ def test_scipy_pops_equal_distances_larger_index_first():
 
 @pytest.mark.parametrize("n", [1, 2, 1152, 5640])
 def test_one_draw_noise_is_random_random_bit_for_bit(n):
+    """Both conversions of the draw's bytes, numpy's and the native
+    library's (where it loads), give random.random()'s floats."""
+    conversions = [None]
+    if native.unavailable_reason() is None:
+        conversions.append(native.function("repro_random_floats"))
     seeds = random.Random(n)
     for seed in [seeds.getrandbits(64) for _ in range(200)]:
-        drawn, listed = random.Random(seed), random.Random(seed)
-        floats = _random_floats(drawn, n)
+        listed = random.Random(seed)
         expected = np.array([listed.random() for _ in range(n)])
-        assert floats.dtype == np.float64 and floats.shape == (n,)
-        assert floats.tobytes() == expected.tobytes()
-        assert drawn.getstate() == listed.getstate()
+        for convert in conversions:
+            drawn = random.Random(seed)
+            floats = _random_floats(drawn, n, convert)
+            assert floats.dtype == np.float64 and floats.shape == (n,)
+            assert floats.tobytes() == expected.tobytes()
+            assert drawn.getstate() == listed.getstate()
 
 
 # ----------------------------------------------------------------------
@@ -81,11 +94,18 @@ def _target(family: str, size: int, dead: float, seed: int) -> nx.Graph:
 
 @st.composite
 def search_cases(draw):
-    """A damaged target, usage 0-3, 1-8 connected chains that may share
-    qubits, and a noise amplitude.  Some cases let usage reach 9, where
-    costs pass 2**53 and a sum can absorb a cost of 1, and some list the
-    target's qubits out of label order, so that label order and index
-    order differ."""
+    """A damaged target, costs, 1-8 connected chains that may share
+    qubits, noise and a noise amplitude.
+
+    Costs have the embedder's shape, a base to the power of each qubit's
+    usage: the target's own base with usage 0-3, or 0-7 or 0-9, or the
+    base of a C12 or a P16 (1152, 5640).  So free qubits fill the
+    searches' level bitsets and occupied ones their heaps, and costs and
+    totals pass 2**53, where a sum can absorb a cost of 1.  Some cases
+    scale the costs by 0.1, so level distances are not integers, and
+    some zero a fifth of them, so pushes land at the popped distance.
+    Some list the target's qubits out of label order, so that label
+    order and index order differ."""
     family, size = draw(st.sampled_from(TOPOLOGIES))
     dead = draw(st.sampled_from([0.0, 0.05, 0.3, 0.6]))
     target = _target(family, size, dead, draw(st.integers(0, 3)))
@@ -98,8 +118,15 @@ def search_cases(draw):
     n = len(nodes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     busy = draw(st.sampled_from([0.0, 0.1, 0.5]))
-    most = draw(st.sampled_from([3, 3, 9]))
+    most = draw(st.sampled_from([3, 3, 7, 9]))
     usage = np.where(rng.random(n) < busy, rng.integers(1, most + 1, size=n), 0)
+    base = draw(st.sampled_from([max(8.0, float(n)), max(8.0, float(n)), 1152.0, 5640.0]))
+    costs = np.power(base, usage.astype(float))
+    shape = draw(st.sampled_from(["powers", "powers", "tenths", "zeros"]))
+    if shape == "tenths":
+        costs = costs * 0.1
+    elif shape == "zeros":
+        costs[rng.random(n) < 0.2] = 0.0
     share = draw(st.booleans())
     chains = []
     for _ in range(draw(st.integers(1, 8))):
@@ -117,7 +144,7 @@ def search_cases(draw):
     # 0 makes ties between totals common, which the smaller index wins.
     amplitude = draw(st.sampled_from([0.0, 0.5, 8.0]))
     noise = _random_floats(random.Random(draw(st.integers(0, 2**32))), n)
-    return target, usage, chains, amplitude, noise
+    return target, costs, chains, amplitude, noise
 
 
 def _full_searches(target, costs, chains, amplitude, noise):
@@ -177,10 +204,9 @@ def native_search():
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=search_cases())
 def test_native_search_matches_full_scipy_searches(native_search, case):
-    target, usage, chains, amplitude, noise = case
+    target, costs, chains, amplitude, noise = case
     graphs = _SearchGraphs(nx.Graph(), target)
     assert graphs.search_name == "native"
-    costs = np.power(max(8.0, float(len(graphs.nodes))), usage.astype(float))
     for search in (graphs.search, graphs._scipy_search):
         _assert_same_choice(graphs, search, costs, chains, amplitude, noise)
 
@@ -266,10 +292,9 @@ def _assert_same_step(graphs, costs, chains, amplitude, noise):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(case=search_cases())
 def test_one_call_step_matches_the_fallback(native_search, case):
-    target, usage, chains, amplitude, noise = case
+    target, costs, chains, amplitude, noise = case
     graphs = _SearchGraphs(nx.Graph(), target)
     assert graphs.search_name == "native"
-    costs = np.power(max(8.0, float(len(graphs.nodes))), usage.astype(float))
     _assert_same_step(graphs, costs, chains, amplitude, noise)
 
 
@@ -280,6 +305,32 @@ def _path_target(labels):
     target.add_nodes_from(labels)
     target.add_edges_from(zip(labels, labels[1:]))
     return target
+
+
+@pytest.mark.parametrize("n", [5, 1152, 5640])
+def test_the_kept_cost_vector_is_np_power_bit_for_bit(n):
+    """The embedder updates ``penalty_base ** usage`` only at the qubits
+    a claim or a release touches.  After every step of a random sequence
+    of them, with usage up to 8, the vector must be the one np.power
+    gives over the whole usage vector, bit for bit, at bases 8, 1152 and
+    5640 (past 1152 ** 5 the powers are no longer exact)."""
+    graphs = _SearchGraphs(nx.empty_graph(8), nx.path_graph(n))
+    rng = random.Random(n)
+    state = _EmbedderState(graphs, rng)
+    shared = list(range(min(n, 4)))
+    moves = [("claim", v) for v in range(8)]
+    moves += [("toggle", rng.randrange(8)) for _ in range(300)]
+    peak = 0
+    for move, v in moves:
+        if move == "toggle" and v in state.chains:
+            state._release(v)
+        else:
+            chain = set(rng.sample(shared, rng.randint(1, len(shared))))
+            state._claim(v, chain | {rng.randrange(n), shared[0]})
+        expected = np.power(state.penalty_base, state.usage.astype(float))
+        assert state.costs.tobytes() == expected.tobytes()
+        peak = max(peak, int(state.usage.max()))
+    assert peak == 8
 
 
 # (edges, costs, chains, noise, root): amplitude 0, so totals are exact
@@ -319,6 +370,60 @@ def test_the_bound_counts_amplitude_times_noise(native_search):
     root, parents = graphs.search(costs, chains, noise, 8.0)
     assert root == 2 and parents[1][0] == -9999
     assert _assert_same_step(graphs, costs, chains, 8.0, noise)[0] == 2
+
+
+def _levels_case(costs, noise):
+    """130 qubits, listed in label order so that index and label agree
+    and the bitsets span three words, with chains {0} and {129}."""
+    target = nx.Graph()
+    target.add_nodes_from(range(130))
+    target.add_edges_from([
+        (0, 1), (0, 2), (2, 100), (1, 50), (100, 50), (50, 129),
+        (1, 3), (3, 4), (0, 5), (4, 6), (5, 6), (6, 129),
+    ])
+    full_costs, full_noise = np.ones(130), np.full(130, 0.5)
+    full_costs[list(costs)] = list(costs.values())
+    full_noise[list(noise)] = list(noise.values())
+    return target, full_costs, full_noise
+
+
+# Each case's search from {0} must pop a pending qubit of a higher bitset
+# word first.  "zero cost" and "absorbed push": the search reaches 1 and
+# 2 at one distance, and 2, popped first as the larger, pushes 100 at
+# that same distance, through a cost of 0 or a cost of 1 that 2**53
+# absorbs (there 1 waits in the heap, 100 in a bitset).  100 must pop
+# before 1, so 50 takes 100 as its predecessor, and the noise puts the
+# root at 50: its walk into {0} is [50, 100, 2], where popping 1 first
+# would give [50, 1].  "fractional cost": with a smallest cost of 0.1
+# the levels sit at 0.1, 0.2 and 0.30000000000000004, none an integer,
+# and qubit 5, at a cost of 0.3, pops between the last two from the
+# heap; so 6 is reached first from 5 at 0.4, not from 4 at
+# 0.4000000000000001, and the root 6 walks [6, 5] into {0}.
+LEVELS = {
+    "zero cost": (
+        {1: 0.0, 2: 0.0, 100: 0.0, 3: 9.0, 5: 9.0}, {50: 0.0}, 50,
+        [[50, 100, 2], [50]],
+    ),
+    "absorbed push": (
+        {1: 2.0**53, 2: 2.0**53, 3: 2.0**60, 5: 2.0**60}, {50: 0.0}, 50,
+        [[50, 100, 2], [50]],
+    ),
+    "fractional cost": (
+        {q: 0.1 for q in (0, 1, 3, 4, 6, 129)} | {5: 0.3, 2: 9.0, 50: 9.0},
+        {6: 0.0}, 6, [[6, 5], [6]],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LEVELS))
+def test_the_level_queue_pops_in_the_strict_order(native_search, case):
+    costs, noise, root, walks = LEVELS[case]
+    target, costs, noise = _levels_case(costs, noise)
+    graphs = _SearchGraphs(nx.Graph(), target)
+    chains = [{0}, {129}]
+    for search in (graphs.search, graphs._scipy_search):
+        _assert_same_choice(graphs, search, costs, chains, 8.0, noise)
+    assert _assert_same_step(graphs, costs, chains, 8.0, noise) == (root, walks, [])
 
 
 def test_root_inside_a_neighbour_chain_is_trimmed_away(native_search):

@@ -105,6 +105,44 @@ def test_disconnected_source(c4):
     assert "e" in embedding
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (dict(tries=0), "tries must be >= 1, got 0"),
+        (dict(tries=-2), "tries must be >= 1, got -2"),
+        (dict(rounds=-1), "rounds must be >= 0, got -1"),
+    ],
+)
+def test_a_budget_that_cannot_run_is_a_value_error(budget, message, monkeypatch):
+    """tries=0 once raised an EmbeddingError reporting a budget it never
+    spent, and rounds=-1 ran; both now fail before any work."""
+    import repro.hardware.embedding as embedding_module
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the budget was not checked first")
+
+    monkeypatch.setattr(embedding_module, "_SearchGraphs", no_work)
+    with pytest.raises(ValueError, match=message):
+        find_embedding(nx.complete_graph(3), chimera_graph(2), seed=0, **budget)
+
+
+def test_stats_and_span_count_the_steps_that_searched(c4):
+    """K5 on a C4: every variable has embedded neighbours from the
+    initial scatter on, no restart fails and no overlap move runs, so
+    the two improvement rounds and two polish rounds make 4 x 5 = 20
+    searching steps."""
+    from repro.core import trace
+
+    stats = {}
+    with trace.capture() as (tracer, _):
+        find_embedding(nx.complete_graph(5), c4, seed=0, stats=stats)
+    assert stats == {"attempts": 1, "restarts": 1, "steps": 20}
+    assert tracer.find("embed.find_embedding").attributes["steps"] == 20
+    empty = {}
+    find_embedding(nx.Graph(), c4, stats=empty)
+    assert empty == {"attempts": 0, "restarts": 0, "steps": 0}
+
+
 # ----------------------------------------------------------------------
 # Embedding validation
 # ----------------------------------------------------------------------
